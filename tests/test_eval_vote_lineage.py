@@ -158,3 +158,26 @@ def test_snorkel_label_model_vs_majority_vote(ray_session, small_corpus,
     # trained params are checkpointed: a rerun loads them and reproduces
     sn2 = to_arrow(snorkel_table(ds, wd))
     assert tbl.sort_by([(c, "ascending") for c in tbl.column_names])         .equals(sn2.sort_by([(c, "ascending") for c in tbl.column_names]))
+
+
+def test_baselines_reuse_one_obs_write(ray_session, small_corpus,
+                                       tmp_path_factory, monkeypatch):
+    """Majority vote then Snorkel on a fresh workdir: both read the one
+    obs table, written once; no separate annotated copy is made."""
+    turns, _, _ = small_corpus
+    wd = str(tmp_path_factory.mktemp("baselines"))
+    ds = rd.from_arrow(turns)
+    written = []
+    orig = rd.Dataset.write_parquet
+
+    def recording_write(self, path, *a, **kw):
+        written.append(os.path.basename(os.path.normpath(path)))
+        return orig(self, path, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", recording_write)
+    mv = to_arrow(majority_vote_table(ds, wd))
+    sn = to_arrow(snorkel_table(ds, wd))
+    assert mv.num_rows and sn.num_rows
+    assert written.count("obs") == 1
+    assert os.path.exists(os.path.join(wd, "obs", "_SUCCESS"))
+    assert not os.path.exists(os.path.join(wd, "annotated"))

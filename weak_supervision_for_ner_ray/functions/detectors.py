@@ -369,6 +369,3 @@ def is_infrequent(doc: Doc, start: int, end: int) -> bool:
     """annotations.py:1274-1277 (OOV rank handled in the tokenizer)."""
     return max(doc.rank[start:end]) > 15000
 
-
-def is_multitoken(doc: Doc, start: int, end: int) -> bool:
-    return end - start > 1

@@ -1,9 +1,9 @@
 """End-to-end knowledge-graph construction pipeline.
 
-read turns → turn-level LF bank (actor pool) → groupby(conv_id) doc-level
-stage → annotated parquet (the EM re-read + resume point) → distributed EM
-→ fused decode/link/triple stage → grouped canonicalization → sorted
-node/edge parquet tables (north_star shape).
+read turns → groupby(conv_id) LF bank (turn- and conversation-level
+sources) → obs encoding → obs parquet (the EM input + resume point) →
+sharded EM → fused decode/link/triple stage → grouped canonicalization →
+sorted node/edge parquet tables (north_star shape).
 """
 
 from __future__ import annotations
@@ -14,16 +14,11 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count
 
 from ..data import builtin_gazetteers, DETECTOR_FIRST_NAMES
 from ..stages.annotate import annotate_pipeline
-from .train import train_hmm, train_hmm_sharded
-
-
-def default_bank_inputs():
-    return builtin_gazetteers(), DETECTOR_FIRST_NAMES
-
+from .train import train_hmm_sharded
 
 # turn-level detector sources with a standalone mentions query + DuckDB
 # SQL oracle (the SQL-expressible subset of the LF bank)
@@ -95,35 +90,62 @@ def detector_mentions(turns_ds, source: str):
                                 zero_copy_batch=True)
 
 
-def _mark(label: str, t0: float) -> float:
-    """Phase timing print gated on GRAFT_PROF=1 (for attributing pipeline
-    wall-time on the noisy bench host); returns a fresh t0."""
-    import time
-    t1 = time.time()
-    if os.environ.get("GRAFT_PROF"):
-        print(f"KGPHASE {label}: {t1 - t0:.2f}s", flush=True)
-    return t1
-
-
-def annotate_turns(turns_ds, workdir: str | None = None, *,
-                   gazetteers=None, first_names=None, concurrency=None,
-                   batch_size: int = 256):
-    """Annotation pipeline; if ``workdir`` is given the annotated corpus is
-    written to ``<workdir>/annotated`` (resumable: skipped when present)."""
+def annotate_turns(turns_ds, *, gazetteers=None, first_names=None,
+                   concurrency=None, batch_size: int = 256):
+    """Lazy annotation pipeline: turns -> turn- and conversation-level
+    mentions (nested ``mentions`` column)."""
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
     fn = first_names if first_names is not None else DETECTOR_FIRST_NAMES
-    bank_ref = ray.put((gaz, fn))
-    annotated = annotate_pipeline(turns_ds, bank_ref,
-                                  concurrency=concurrency,
-                                  batch_size=batch_size)
-    if workdir is None:
-        return annotated
-    out = os.path.join(workdir, "annotated")
-    marker = os.path.join(out, "_SUCCESS")
-    if not os.path.exists(marker):
-        annotated.write_parquet(out)
-        open(marker, "w").close()
-    return rd.read_parquet(out)
+    return annotate_pipeline(turns_ds, ray.put((gaz, fn)),
+                             concurrency=concurrency, batch_size=batch_size)
+
+
+def write_once(ds, path: str, stamp: str = "", **write_kw) -> str:
+    """Resumable parquet write: skipped when ``<path>/_SUCCESS`` holds
+    ``stamp``, otherwise ``ds`` is written and the marker written last.
+    ``overwrite`` clears the part files a killed earlier attempt left in
+    ``path`` (the default append mode would keep them beside the new set,
+    and every reader would see those rows twice).  Returns ``path``."""
+    marker = os.path.join(path, "_SUCCESS")
+    if os.path.exists(marker):
+        with open(marker) as fd:
+            if fd.read() == stamp:
+                return path
+    ds.write_parquet(path, mode="overwrite", **write_kw)
+    with open(marker, "w") as fd:
+        fd.write(stamp)
+    return path
+
+
+def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
+              concurrency=None, batch_size: int = 256,
+              lin_actor=None) -> str:
+    """The one annotate -> encode -> write step, shared by the HMM, the
+    majority-vote and the Snorkel paths: returns ``<workdir>/obs``.
+
+    The obs table keeps ``text`` and the nested ``mentions`` beside the
+    encoded observation, so it serves as annotated corpus, EM input
+    (column-pruned read) and decode/triple input.  It is the resume point:
+    a rerun skips everything up to here.  Small row groups let downstream
+    reads split into enough blocks to pack the pool (single-row-group
+    files cap parallelism).  Written UNSORTED on purpose: a global
+    sort("obs_fp") shuffles the wide (text + nested mentions) corpus just
+    to cluster duplicate turns, and measured ~52 s at sf0.1/32 cpus while
+    improving the per-shard EM dedup not at all (33.8 vs 33.5 s for 2
+    passes) and decode by only ~4 s — the heavy formulaic turns repeat
+    often enough that per-shard/per-worker dedup and memoisation already
+    catch them without global clustering."""
+    from ..stages.encode import encode_obs_batch
+    from ..stages.util import with_lineage
+
+    annotated = annotate_turns(turns_ds, gazetteers=gazetteers,
+                               first_names=first_names,
+                               concurrency=concurrency,
+                               batch_size=batch_size)
+    obs = annotated.map_batches(
+        with_lineage(encode_obs_batch, "encode_obs", lin_actor),
+        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+    return write_once(obs, os.path.join(workdir, "obs"), row_group_size=1024)
 
 
 def mentions_table(turns_ds, **kw):
@@ -178,46 +200,19 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     With ``lineage=True`` every block of the obs-encode and triple stages
     emits a per-partition lineage record; the table is flushed to
     ``<workdir>/lineage`` at the end (north rule)."""
-    from ..stages.util import with_lineage
+    from ..stages.kg import make_decode_triple_fn
+    from ..stages.util import target_blocks, with_lineage
     from ..state.lineage import flush_lineage, get_lineage_actor
 
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
-    fn = first_names if first_names is not None else DETECTOR_FIRST_NAMES
     lin_actor = get_lineage_actor() if lineage else None
 
     # single materialization point: annotate -> conv stage -> obs encoding
-    # fused into one pipeline, one parquet write.  The obs table keeps the
-    # text + nested mentions columns, so it serves as annotated corpus, EM
-    # input (column-pruned read) and decode/triple input (north rule resume
-    # point: a rerun skips everything up to here via the _SUCCESS marker).
-    from ..stages.annotate import annotate_pipeline
-    from ..stages.encode import encode_obs_batch
-    from ..stages.util import target_blocks
-    import time
-    _t = time.time()
+    # fused into one pipeline, one parquet write
     nblocks = target_blocks()
-    obs_dir = os.path.join(workdir, "obs")
-    if not os.path.exists(os.path.join(obs_dir, "_SUCCESS")):
-        bank_ref = ray.put((gaz, fn))
-        annotated = annotate_pipeline(turns_ds, bank_ref,
-                                      concurrency=concurrency,
-                                      batch_size=batch_size)
-        # small row groups -> downstream reads can split into enough
-        # blocks to pack the pool (single-row-group files cap parallelism).
-        # Written UNSORTED on purpose: a global sort("obs_fp") shuffles the
-        # wide (text + nested mentions) corpus just to cluster duplicate
-        # turns, and measured ~52 s at sf0.1/32 cpus while improving the
-        # per-shard EM dedup not at all (33.8 vs 33.5 s for 2 passes) and
-        # decode by only ~4 s — the heavy formulaic turns repeat often
-        # enough that per-shard/per-worker dedup and memoisation already
-        # catch them without global clustering.
-        annotated.map_batches(
-            with_lineage(encode_obs_batch, "encode_obs", lin_actor),
-            batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True).write_parquet(
-                obs_dir, row_group_size=1024)
-        open(os.path.join(obs_dir, "_SUCCESS"), "w").close()
-    _t = _mark("annotate+obs_write", _t)
+    obs_dir = write_obs(turns_ds, workdir, gazetteers=gaz,
+                        first_names=first_names, concurrency=concurrency,
+                        batch_size=batch_size, lin_actor=lin_actor)
     # lazy full read (text + nested mentions) — only executed if the
     # caller consumes the annotated corpus
     annotated = rd.read_parquet(obs_dir, override_num_blocks=nblocks)
@@ -225,15 +220,17 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     # EM runs on persistent shard actors: obs loaded once, one RPC per
     # shard per iteration (no per-pass dataset execution overhead)
     params = train_hmm_sharded(obs_dir, workdir, n_iter=n_iter, seed=seed)
-    _t = _mark(f"em_{n_iter}_iters", _t)
+    # the outputs below are stamped with the params they were decoded
+    # with: a rerun that trains further rewrites them instead of reusing
+    # a shorter run's triples
+    stamp = params.digest()
     params_ref = ray.put(params)
     gaz_ref = ray.put(gaz)
 
     # fused decode+link+triple stage over ONE pruned read (drops the wide
     # nested `mentions` column from the scan): each turn is Viterbi-decoded
     # once and both the ner spans and the triples come out of the same
-    # pass, tagged by `kind` — previously two full scans + two decodes
-    from ..stages.kg import make_decode_triple_fn
+    # pass, tagged by `kind`
     obs_min = rd.read_parquet(
         obs_dir, columns=["conv_id", "turn_idx", "text", "n_tokens",
                           "o_t", "o_s", "o_state", "o_conf"],
@@ -244,18 +241,13 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
         batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True)
 
-    ddir = os.path.join(workdir, "decoded")
     if write:
-        if not os.path.exists(os.path.join(ddir, "_SUCCESS")):
-            combined.write_parquet(ddir)
-            open(os.path.join(ddir, "_SUCCESS"), "w").close()
-        combined = rd.read_parquet(ddir)
-        _t = _mark("decode_write", _t)
+        combined = rd.read_parquet(
+            write_once(combined, os.path.join(workdir, "decoded"), stamp))
     else:
         # decoded output is a small fraction of the input corpus; holding
         # it avoids re-running the fused stage for the two consumers
         combined = combined.materialize()
-        _t = _mark("decode_materialize", _t)
 
     def to_ner(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -276,22 +268,16 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
                                    zero_copy_batch=True)
     if lin_actor is not None:
         flush_lineage(lin_actor, os.path.join(workdir, "lineage"))
-    _t = _mark("lineage_flush", _t)
 
     nodes, edges = graph_tables(triples)
     if write:
-        outs = {}
-        for name, ds in (("nodes", nodes), ("edges", edges)):
-            d = os.path.join(workdir, name)
-            if not os.path.exists(os.path.join(d, "_SUCCESS")):
-                ds.write_parquet(d)
-                open(os.path.join(d, "_SUCCESS"), "w").close()
-            # hand back a read of the written table: consumers re-consume
-            # nodes/edges (counts, joins) and re-running the sort pipeline
-            # for each consumption doubles the graph phase
-            outs[name] = rd.read_parquet(d)
-        nodes, edges = outs["nodes"], outs["edges"]
-        _t = _mark("graph_write", _t)
+        # hand back a read of the written table: consumers re-consume
+        # nodes/edges (counts, joins) and re-running the sort pipeline
+        # for each consumption doubles the graph phase
+        nodes = rd.read_parquet(
+            write_once(nodes, os.path.join(workdir, "nodes"), stamp))
+        edges = rd.read_parquet(
+            write_once(edges, os.path.join(workdir, "edges"), stamp))
     return {"annotated": annotated, "ner": ner, "triples": triples,
             "nodes": nodes, "edges": edges, "params": params}
 
@@ -299,20 +285,12 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
 def majority_vote_table(turns_ds, workdir: str, *, gazetteers=None,
                         first_names=None, batch_size: int = 256,
                         nb_sources_threshold: int = 10):
-    """MajorityVoter baseline over the annotated corpus — same schema as
-    the HMM ``ner`` table (labelling.py:503-531)."""
-    from ..stages.encode import encode_obs_batch
+    """MajorityVoter baseline over the obs table — same schema as the HMM
+    ``ner`` table (labelling.py:503-531)."""
     from ..stages.kg import make_majority_vote_fn
 
-    annotated = annotate_turns(turns_ds, workdir, gazetteers=gazetteers,
-                               first_names=first_names,
-                               batch_size=batch_size)
-    obs_dir = os.path.join(workdir, "obs")
-    if not os.path.exists(os.path.join(obs_dir, "_SUCCESS")):
-        annotated.map_batches(encode_obs_batch, batch_format="pyarrow",
-                              batch_size=batch_size,
-                              zero_copy_batch=True).write_parquet(obs_dir)
-        open(os.path.join(obs_dir, "_SUCCESS"), "w").close()
+    obs_dir = write_obs(turns_ds, workdir, gazetteers=gazetteers,
+                        first_names=first_names, batch_size=batch_size)
     obs = rd.read_parquet(obs_dir,
                           columns=["conv_id", "turn_idx", "n_tokens",
                                    "o_t", "o_s", "o_state", "o_conf"])
@@ -329,10 +307,11 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
     annotated corpus (labelling.py:534-590 workflow, snorkel-free): same
     output schema as the HMM ``ner`` and majority-vote tables.
 
-    Candidate spans + sparse votes are extracted once to parquet
-    (resumable); each EM pass is one ``map_batches`` over that table with
-    broadcast parameters, returning one additive sufficient-statistic
-    partial per block (same distribution shape as the HMM E-step)."""
+    Candidate spans + sparse votes are extracted once from the obs table's
+    mentions to parquet (resumable); each EM pass is one ``map_batches``
+    over that table with broadcast parameters, returning one additive
+    sufficient-statistic partial per block (same distribution shape as the
+    HMM E-step)."""
     import numpy as np
     import pyarrow.compute as _pc
 
@@ -340,18 +319,15 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
     from ..stages.util import cached_from_ref, target_blocks
     from ..state import labelmodel as lm
 
-    annotated = annotate_turns(turns_ds, workdir, gazetteers=gazetteers,
-                               first_names=first_names,
-                               batch_size=batch_size)
-    spans_dir = os.path.join(workdir, "snorkel_spans")
-    if not os.path.exists(os.path.join(spans_dir, "_SUCCESS")):
-        (annotated.select_columns(["conv_id", "turn_idx", "mentions"])
-         .map_batches(snorkel_spans_batch, batch_format="pyarrow",
-                      batch_size=batch_size, zero_copy_batch=True)
-         .write_parquet(spans_dir))
-        open(os.path.join(spans_dir, "_SUCCESS"), "w").close()
-    spans_ds = rd.read_parquet(spans_dir,
-                               override_num_blocks=target_blocks())
+    obs_dir = write_obs(turns_ds, workdir, gazetteers=gazetteers,
+                        first_names=first_names, batch_size=batch_size)
+    spans = rd.read_parquet(
+        obs_dir, columns=["conv_id", "turn_idx", "mentions"]).map_batches(
+            snorkel_spans_batch, batch_format="pyarrow",
+            batch_size=batch_size, zero_copy_batch=True)
+    spans_ds = rd.read_parquet(
+        write_once(spans, os.path.join(workdir, "snorkel_spans")),
+        override_num_blocks=target_blocks())
 
     def _flat(batch: pa.Table):
         col_s = batch.column("v_s")

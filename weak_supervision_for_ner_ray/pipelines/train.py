@@ -1,11 +1,12 @@
 """Distributed EM training driver (reference: HMMAnnotator.train,
 labelling.py:243-289).
 
-Shape (SURVEY.md §3 EP2): per iteration, params are broadcast
-(``ray.put``) → ``map_batches(EStepStage)`` folds each block into one
-~2 MB sufficient-stat partial → tiny partial dataset reduced on the driver
-→ M-step → checkpoint ``em_iter_k.npz`` → loop until convergence or
-``n_iter``.  A restarted driver resumes from the latest checkpoint.
+Shape (SURVEY.md §3 EP2): the obs parquet is loaded once into persistent
+shard actors (``stages/em_actors.py``); per iteration the params go to every
+shard in one RPC → each shard folds its turns into one ~2 MB
+sufficient-stat partial → partials merged on the driver → M-step →
+checkpoint ``em_iter_k.npz`` → loop until convergence or ``n_iter``.  A
+restarted driver resumes from the latest checkpoint.
 """
 
 from __future__ import annotations
@@ -16,74 +17,6 @@ import ray
 
 from ..state.checkpoints import CheckpointStore
 from ..state.hmm import HMMParams, init_params_from_counts, m_step
-from ..stages.em import (InitStatsStage, make_estep_fn,
-                         merge_suffstat_partials, reduce_init_counts,
-                         reduce_suffstats)
-
-
-def _collect(ds) -> "pa.Table":
-    import pyarrow as pa
-    tables = [ray.get(ref) for ref in ds.to_arrow_refs()]
-    tables = [t for t in tables if t.num_rows]
-    return pa.concat_tables(tables) if tables else pa.table({})
-
-
-def train_hmm(annotated_ds, workdir: str, *, n_iter: int = 10,
-              tol: float = 1e-2, seed: int = 42, keep_names=None,
-              concurrency=None, batch_size: int = 1024,
-              verbose: bool = False) -> HMMParams:
-    """Train (or resume training) the HMM aggregator over an annotated
-    Dataset; returns the final parameters."""
-    from ..sources.registry import SOURCE_INDICES
-
-    store = CheckpointStore(workdir)
-    resumed = store.latest()
-    if resumed is not None:
-        start_iter, params, history, done = resumed
-        if done or start_iter >= n_iter:
-            return params
-    else:
-        # initialisation pass: one map_batches over the corpus
-        init_fn = InitStatsStage(keep_names)
-        partials = _collect(annotated_ds.map_batches(
-            init_fn, batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True))
-        init_c, trans_c, obs_c = reduce_init_counts(partials)
-        # keep_names → source indices, same as train_hmm_sharded: the
-        # source filter lives in params.keep so BOTH the raw-mention and
-        # pre-encoded ObsRows E-step paths respect sources_to_keep
-        # (reference labelling.py:253-257 sources_to_keep semantics).
-        keep = None
-        if keep_names is not None:
-            keep = sorted(SOURCE_INDICES[n] for n in keep_names)
-        params = init_params_from_counts(init_c, trans_c, obs_c, seed=seed,
-                                         keep=keep)
-        history = []
-        start_iter = 0
-        store.save(0, params, history)
-
-    for it in range(start_iter + 1, n_iter + 1):
-        params_ref = ray.put(params)
-        partials_ds = annotated_ds.map_batches(
-            make_estep_fn(params_ref, keep_names),
-            batch_format="pyarrow", batch_size=batch_size,
-            zero_copy_batch=True)
-        # distributed tree-reduction before the (small) driver collect
-        partials = _collect(partials_ds.map_batches(
-            merge_suffstat_partials, batch_format="pyarrow",
-            batch_size=16, zero_copy_batch=True))
-        stats = reduce_suffstats(partials)
-        params = m_step(params, stats)
-        history.append(stats.logprob)
-        converged = (len(history) >= 2
-                     and abs(history[-1] - history[-2]) < tol)
-        store.save(it, params, history, done=converged)
-        if verbose:
-            print(f"EM iter {it}: logprob={stats.logprob:.2f} "
-                  f"n_seqs={stats.n_seqs}")
-        if converged:
-            break
-    return params
 
 
 def train_hmm_sharded(obs_dir: str, workdir: str, *, n_iter: int = 10,
@@ -92,28 +25,18 @@ def train_hmm_sharded(obs_dir: str, workdir: str, *, n_iter: int = 10,
                       verbose: bool = False) -> HMMParams:
     """EM over persistent shard actors (stages/em_actors.py): the obs
     parquet is loaded once into actor memory; each iteration is one RPC per
-    shard.  Checkpoint/resume semantics identical to :func:`train_hmm`."""
+    shard.  Resumes from the latest checkpoint in ``workdir``."""
     import glob
-    import time
 
     from ..sources.registry import SOURCE_INDICES
     from ..stages.em_actors import (make_shards, shard_estep,
                                     shard_init_counts)
-
-    _prof = bool(os.environ.get("GRAFT_PROF"))
-
-    def _mark(label, t0):
-        t1 = time.time()
-        if _prof:
-            print(f"EMPHASE {label}: {t1 - t0:.2f}s", flush=True)
-        return t1
 
     store = CheckpointStore(workdir)
     resumed = store.latest()
     if resumed is not None and (resumed[3] or resumed[0] >= n_iter):
         return resumed[1]
 
-    _t = time.time()
     files = sorted(glob.glob(os.path.join(obs_dir, "*.parquet")))
     if n_shards is None:
         try:
@@ -127,7 +50,6 @@ def train_hmm_sharded(obs_dir: str, workdir: str, *, n_iter: int = 10,
         except Exception:
             n_shards = 16
     shards = make_shards(files, n_shards)
-    _t = _mark("make_shards", _t)
     keep = None
     if keep_names is not None:
         keep = sorted(SOURCE_INDICES[n] for n in keep_names)
@@ -137,7 +59,6 @@ def train_hmm_sharded(obs_dir: str, workdir: str, *, n_iter: int = 10,
             start_iter, params, history, _ = resumed
         else:
             init_c, trans_c, obs_c = shard_init_counts(shards)
-            _t = _mark("shard_load+init_counts", _t)
             params = init_params_from_counts(init_c, trans_c, obs_c,
                                              seed=seed, keep=keep)
             history = []
@@ -146,7 +67,6 @@ def train_hmm_sharded(obs_dir: str, workdir: str, *, n_iter: int = 10,
 
         for it in range(start_iter + 1, n_iter + 1):
             stats = shard_estep(shards, params)
-            _t = _mark(f"estep_{it}", _t)
             params = m_step(params, stats)
             history.append(stats.logprob)
             converged = (len(history) >= 2

@@ -1,16 +1,13 @@
 """Ray Data stages for the annotation pipeline.
 
-Stage 1 (:class:`TurnAnnotateStage`) is a stateful actor-pool ``map_batches``
-stage: the LF bank (gazetteer tries, heuristic model, compiled patterns) is
-built ONCE per actor in ``__init__`` from a ``ray.put`` broadcast of the
-name lists, then applied per zero-copy Arrow batch.  It is embarrassingly
-parallel — no grouping required (SURVEY.md §3 EP1).
-
-Stage 2 (:func:`conv_annotate_group`) runs inside
-``groupby("conv_id").map_groups`` — the one explicit shuffle of the
-annotation pipeline — and adds the conversation-scoped sources
-(doc_history, doc_majority_*) with turns restored to stable
-(conv_id, turn_idx) order.
+:func:`annotate_pipeline` shuffles the raw turn rows ONCE with
+``groupby(["conv_id", "_win"]).map_groups`` and runs the whole LF bank on
+the grouped side (:func:`make_full_conv_annotate_fn`): first the turn-level
+sources (:func:`annotate_turn_batch`, memoised per worker on the text), then
+the conversation-scoped sources (doc_history, doc_majority_*) with turns
+restored to stable (conv_id, turn_idx) order (:func:`annotate_conv_group`).
+The bank is built once per worker from a ``ray.put`` broadcast of the name
+lists (SURVEY.md §3 EP1).
 """
 
 from __future__ import annotations
@@ -18,27 +15,9 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
 from ..sources.registry import LFBank
 from ..tokenizer import make_doc
-from .encode import MENTION_TYPE, MentionRows, MentionsBuilder
-
-ANNOTATED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()),
-    ("turn_idx", pa.int32()),
-    ("role", pa.string()),
-    ("text", pa.string()),
-    ("n_tokens", pa.int32()),
-    ("mentions", pa.list_(MENTION_TYPE)),
-])
-
-
-def _get_broadcast(ref_or_value):
-    if isinstance(ref_or_value, ray.ObjectRef):
-        return ray.get(ref_or_value)
-    return ref_or_value
-
+from .encode import MentionRows, MentionsBuilder
 
 _TURN_MEMO_CAP = 100_000
 _TURN_MEMO_MAX_LEN = 400      # only short (formulaic, high-dup) turns
@@ -77,34 +56,6 @@ def annotate_turn_batch(bank: LFBank, batch: pa.Table,
     })
 
 
-class TurnAnnotateStage:
-    """Actor-pool stage: text -> turn-level mentions (nested column)."""
-
-    def __init__(self, bank_inputs):
-        """``bank_inputs``: (gazetteers, first_names) or an ObjectRef to it —
-        broadcast once, materialised once per actor."""
-        self.bank = LFBank(*_get_broadcast(bank_inputs))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return annotate_turn_batch(self.bank, batch)
-
-
-class ConvAnnotateStage:
-    """Grouped stage: add doc-level sources over whole conversations.
-
-    Used with ``ds.groupby("conv_id").map_groups(...)``; each call receives
-    every turn of one conversation.  Turns are sorted by ``turn_idx`` inside
-    the group (the input arrives shuffled) so order-sensitive history
-    semantics hold ("first mention wins", annotations.py:1117).
-    """
-
-    def __init__(self, bank_inputs):
-        self.bank = LFBank(*_get_broadcast(bank_inputs))
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        return annotate_conv_group(self.bank, group)
-
-
 def annotate_conv_group(bank: LFBank, group: pa.Table) -> pa.Table:
     order = pc.sort_indices(group, sort_keys=[("turn_idx", "ascending")])
     group = group.take(order)
@@ -135,29 +86,6 @@ def _bank_from(bank_inputs) -> LFBank:
     return cached_from_ref(bank_inputs,
                            builder=lambda v: LFBank(*v),
                            key_extra="lfbank")
-
-
-def make_turn_annotate_fn(bank_inputs_ref):
-    """Stateless-task variant of :class:`TurnAnnotateStage`: the LF bank is
-    built once per worker process from the broadcast ref (see
-    ``stages.util.cached_from_ref``) — actor-pool amortization without
-    per-stage actor spawn latency."""
-
-    def turn_annotate(batch: pa.Table) -> pa.Table:
-        from .util import cached_from_ref
-        memo = cached_from_ref(bank_inputs_ref, builder=lambda _: {},
-                               key_extra="turn_memo")
-        return annotate_turn_batch(_bank_from(bank_inputs_ref), batch,
-                                   memo=memo)
-
-    return turn_annotate
-
-
-def make_conv_annotate_fn(bank_inputs_ref):
-    def conv_annotate(group: pa.Table) -> pa.Table:
-        return annotate_conv_group(_bank_from(bank_inputs_ref), group)
-
-    return conv_annotate
 
 
 def make_full_conv_annotate_fn(bank_inputs_ref):

@@ -381,9 +381,9 @@ def make_shards(obs_files: list[str], n_shards: int):
         i = min(n_shards - 1, (acc + cost // 2) * n_shards // max(total, 1))
         groups[i].setdefault(f, []).append(rg)
         acc += cost
-    # 0.5 CPU per actor pairs with the 2-shards-per-core default in
-    # train_hmm_sharded: twice as many actors timeshare the cores and the
-    # E-step tail shrinks (stragglers overlap instead of serialising)
+    # 0.5 CPU per actor: train_hmm_sharded starts one shard per core, so
+    # the shards reserve half the cluster's CPUs and leave the rest
+    # schedulable; a caller passing 2 shards per core fills every core
     import os
     max_bytes = int(os.environ.get("GRAFT_EM_SHARD_MAX_BYTES",
                                    str(4 * 1024 ** 3)))

@@ -115,28 +115,10 @@ class MentionRows:
         return layers
 
 
-def mentions_to_layers(mention_list) -> Layers:
-    """Rebuild a :class:`Layers` from one row's nested mention pylist
-    (id-coded structs)."""
-    layers = Layers()
-    by_source = layers.by_source
-    for m in mention_list:
-        src = by_source.setdefault(SOURCE_NAMES[m["source_id"]], {})
-        key = (m["start"], m["end"])
-        val = (LABEL_VOCAB[m["label_id"]], m["conf"])
-        if key in src:
-            src[key] = (*src[key], val)
-        else:
-            src[key] = (val,)
-    return layers
-
-
-def specialise_annotations(layers: Layers, keep_names=None) -> None:
+def specialise_annotations(layers: Layers) -> None:
     """Replace generic ENT/MISC labels by a confidence-weighted vote of
     overlapping non-generic sources (labelling.py:175-213).  In place."""
-    keep = keep_names if keep_names is not None else set(SOURCE_NAMES)
-    voters = [s for s in _SPECIALISE_VOTERS
-              if s in layers.by_source and s in keep]
+    voters = [s for s in _SPECIALISE_VOTERS if s in layers.by_source]
     to_set = []
     for source, spans in layers.by_source.items():
         for (start, end), vals in spans.items():
@@ -167,18 +149,16 @@ def specialise_annotations(layers: Layers, keep_names=None) -> None:
         layers.by_source[source][(start, end)] = vals
 
 
-def layers_to_obs(layers: Layers, n_tokens: int,
-                  keep_names=None) -> TurnObs:
+def layers_to_obs(layers: Layers, n_tokens: int) -> TurnObs:
     """``extract_sequence`` equivalent (labelling.py:144-172): specialise,
-    then spread span confidences over BILU cells of the sparse observation."""
-    specialise_annotations(layers, keep_names)
+    then spread span confidences over BILU cells of the sparse observation.
+    Every source is encoded; ``sources_to_keep`` is applied by the HMM
+    through ``HMMParams.keep``."""
+    specialise_annotations(layers)
     obs = TurnObs(n_tokens)
-    keep = keep_names if keep_names is not None else None
     for source, spans in layers.by_source.items():
         s_idx = SOURCE_INDICES.get(source)
         if s_idx is None:
-            continue
-        if keep is not None and source not in keep:
             continue
         for (start, end), vals in spans.items():
             for label, conf in vals:
@@ -186,12 +166,9 @@ def layers_to_obs(layers: Layers, n_tokens: int,
     return obs
 
 
-OBS_SCHEMA_COLS = ["conv_id", "turn_idx", "text", "n_tokens",
-                   "o_t", "o_s", "o_state", "o_conf"]
-
-
 def encode_obs_batch(batch: pa.Table) -> pa.Table:
-    """Annotated batch -> flattened observation batch.
+    """Annotated batch -> flattened observation batch (the nested
+    ``mentions`` are kept for the span-level baselines).
 
     ``specialise_annotations`` + BILU spreading run ONCE here; the EM loop
     and decode stages then consume plain int/float arrays instead of
@@ -233,6 +210,7 @@ def encode_obs_batch(batch: pa.Table) -> pa.Table:
         "turn_idx": batch.column("turn_idx"),
         "text": batch.column("text"),
         "n_tokens": batch.column("n_tokens"),
+        "mentions": batch.column("mentions"),
         "obs_fp": pa.array(fps, pa.int64()),
         "o_t": pa.ListArray.from_arrays(off, pa.array(o_t, pa.int32())),
         "o_s": pa.ListArray.from_arrays(off, pa.array(o_s, pa.int32())),

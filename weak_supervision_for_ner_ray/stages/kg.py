@@ -1,9 +1,11 @@
 """Decode + knowledge-graph extraction stages.
 
-``DecodeStage`` Viterbi-decodes each turn's aggregated observation into
-``ner`` spans (labelling.py:116-141 semantics).  ``TripleStage`` fuses
-decode + relation-template matching + entity linking into one actor-pool
-``map_batches`` pass so token data never crosses the object store twice.
+:func:`make_decode_triple_fn` is the one decode path: a fused
+``map_batches`` stage that Viterbi-decodes each turn's encoded observation
+into ``ner`` spans (labelling.py:116-141 semantics), then matches relation
+templates and links entities over the same spans, so each turn is decoded
+once and the obs table is scanned once.  :func:`make_majority_vote_fn` is
+the MajorityVoter baseline over the same observations.
 
 Entity linking is a broadcast map-side join (SURVEY.md §2.4): the alias
 index (gazetteer names + company-alias expansions following
@@ -15,13 +17,10 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
-
 from ..constants import GENERIC_TOKENS, LEGAL_SUFFIXES
-from ..state.hmm import HMMParams, decode_turn
 from ..state.trie import TokenTrie
 from ..tokenizer import make_doc, tokenise
-from .encode import ObsRows, layers_to_obs, mentions_to_layers
+from .encode import ObsRows
 
 CORE_ARG_LABELS = {"PERSON", "ORG", "COMPANY", "GPE", "LOC", "PRODUCT"}
 
@@ -136,21 +135,6 @@ def link_mention(surface_tokens: list[str], label: str,
             " ".join(surface_tokens), label)
 
 
-def _get(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-
-
-class DecodeStage:
-    """Annotated turns -> long-form ``ner`` table (HMM Viterbi decode)."""
-
-    def __init__(self, params_ref, keep_names=None):
-        self.params: HMMParams = _get(params_ref)
-        self.keep_names = keep_names
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return decode_batch(self.params, self.keep_names, batch)
-
-
 def make_majority_vote_fn(nb_sources_threshold: int = 10):
     """MajorityVoter baseline stage (labelling.py:503-531): same output
     schema as the HMM decode, no trained parameters needed."""
@@ -161,7 +145,7 @@ def make_majority_vote_fn(nb_sources_threshold: int = 10):
         start, end, label, conf = [], [], [], []
         conv_ids = batch.column("conv_id").to_pylist()
         turn_idxs = batch.column("turn_idx").to_pylist()
-        for ci, ti, obs in zip(conv_ids, turn_idxs, _obs_iter(batch, None)):
+        for ci, ti, obs in zip(conv_ids, turn_idxs, _obs_iter(batch)):
             for s, e, lab, c in majority_vote_turn(
                     obs, nb_sources_threshold=nb_sources_threshold):
                 conv.append(ci)
@@ -196,105 +180,18 @@ def _row_key(rows: ObsRows, i: int) -> bytes:
             + rows.cols["o_conf"][lo:hi].tobytes())
 
 
-def make_decode_fn(params_ref, keep_names=None):
-    """Stateless-task decode (per-worker cached params).
-
-    Decoded spans depend only on the observation pattern, and the obs table
-    is sorted by pattern fingerprint — identical turns are adjacent, so a
-    per-worker memo of pattern -> spans skips the Viterbi for duplicates
-    (measured ~3.8× duplication on the transcript corpus)."""
-    from .util import cached_from_ref
-
-    def decode(batch: pa.Table) -> pa.Table:
-        params = cached_from_ref(params_ref)
-        memo = cached_from_ref(params_ref, builder=lambda _: {},
-                               key_extra="decode_memo")
-        return decode_batch(params, keep_names, batch, memo=memo)
-
-    return decode
+def _obs_iter(batch: pa.Table):
+    """Iterate TurnObs over an encoded obs batch."""
+    rows = ObsRows(batch)
+    for i in range(len(rows)):
+        yield rows.turnobs(i)
 
 
-def _obs_iter(batch: pa.Table, keep_names):
-    """Iterate TurnObs over either a pre-encoded obs batch or a raw
-    annotated batch."""
-    if "o_t" in batch.column_names:
-        rows = ObsRows(batch)
-        for i in range(len(rows)):
-            yield rows.turnobs(i)
-    else:
-        mentions = batch.column("mentions").to_pylist()
-        n_tokens = batch.column("n_tokens").to_pylist()
-        for m, nt in zip(mentions, n_tokens):
-            yield layers_to_obs(mentions_to_layers(m), nt, keep_names)
-
-
-def decode_batch(params, keep_names, batch: pa.Table,
-                 memo: dict | None = None) -> pa.Table:
-    import numpy as np
-
-    from ..state.hmm import decode_turn_flat
-
-    conv, turn = [], []
-    start, end, label, conf = [], [], [], []
-    conv_ids = batch.column("conv_id").to_pylist()
-    turn_idxs = batch.column("turn_idx").to_pylist()
-    encoded = "o_t" in batch.column_names
-    rows = ObsRows(batch) if encoded else None
-    if encoded:
-        f_t = rows.cols["o_t"].astype(np.int64)
-        f_s = rows.cols["o_s"].astype(np.int64)
-        f_state = rows.cols["o_state"].astype(np.int64)
-        f_conf = rows.cols["o_conf"].astype(np.float64)
-
-    def _decode_row(i):
-        lo, hi = rows.offsets[i], rows.offsets[i + 1]
-        return decode_turn_flat(params, int(rows.n_tokens[i]),
-                                f_t[lo:hi], f_s[lo:hi],
-                                f_state[lo:hi], f_conf[lo:hi])
-
-    def spans_for(i):
-        if not encoded:
-            mentions = batch.column("mentions")[i].as_py()
-            nt = batch.column("n_tokens")[i].as_py()
-            return decode_turn(
-                layers_to_obs(mentions_to_layers(mentions), nt, keep_names),
-                params)
-        if memo is not None:
-            key = _row_key(rows, i)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            spans = _decode_row(i)
-            if len(memo) > _CACHE_CAP:
-                memo.clear()
-            memo[key] = spans
-            return spans
-        return _decode_row(i)
-
-    for i, (ci, ti) in enumerate(zip(conv_ids, turn_idxs)):
-        for s, e, lab, c in spans_for(i):
-            conv.append(ci)
-            turn.append(ti)
-            start.append(s)
-            end.append(e)
-            label.append(lab)
-            conf.append(c)
-    return pa.table({
-        "conv_id": pa.array(conv, pa.string()),
-        "turn_idx": pa.array(turn, pa.int32()),
-        "start": pa.array(start, pa.int32()),
-        "end": pa.array(end, pa.int32()),
-        "label": pa.array(label, pa.string()),
-        "conf": pa.array(conf, pa.float32()),
-    })
-
-
-def make_decode_triple_fn(params_ref, gazetteers_ref, keep_names=None):
+def make_decode_triple_fn(params_ref, gazetteers_ref):
     """FUSED decode + link + triple stage: one pass over ONE pruned obs
     read emits both the ``ner`` span rows and the triple rows (tagged by a
     ``kind`` column), so the obs table is scanned once and each turn is
-    Viterbi-decoded once — previously the decode and triple stages each
-    read the table and each ran the decode."""
+    Viterbi-decoded once."""
     from .util import cached_from_ref
 
     def decode_triples(batch: pa.Table) -> pa.Table:
@@ -305,16 +202,15 @@ def make_decode_triple_fn(params_ref, gazetteers_ref, keep_names=None):
                                       key_extra="triple_memo")
         decode_memo = cached_from_ref(params_ref, builder=lambda _: {},
                                       key_extra="decode_memo")
-        return decode_triple_batch(params, index, keep_names, batch,
+        return decode_triple_batch(params, index, batch,
                                    decode_memo=decode_memo,
                                    triple_memo=triple_memo)
 
     return decode_triples
 
 
-def decode_triple_batch(params, index, keep_names, batch: pa.Table,
-                        decode_memo: dict | None = None,
-                        triple_memo: dict | None = None) -> pa.Table:
+def decode_triple_batch(params, index, batch: pa.Table, decode_memo: dict,
+                        triple_memo: dict) -> pa.Table:
     import numpy as np
 
     from ..state.hmm import decode_turn_flat
@@ -337,18 +233,16 @@ def decode_triple_batch(params, index, keep_names, batch: pa.Table,
         nt = int(rows.n_tokens[i])
         if nt == 0:
             return []
-        key = _row_key(rows, i) if decode_memo is not None else None
-        if key is not None:
-            hit = decode_memo.get(key)
-            if hit is not None:
-                return hit
+        key = _row_key(rows, i)
+        hit = decode_memo.get(key)
+        if hit is not None:
+            return hit
         lo, hi = rows.offsets[i], rows.offsets[i + 1]
         spans = decode_turn_flat(params, nt, f_t[lo:hi], f_s[lo:hi],
                                  f_state[lo:hi], f_conf[lo:hi])
-        if key is not None:
-            if len(decode_memo) > _CACHE_CAP:
-                decode_memo.clear()
-            decode_memo[key] = spans
+        if len(decode_memo) > _CACHE_CAP:
+            decode_memo.clear()
+        decode_memo[key] = spans
         return spans
 
     for i, (ci, ti, text) in enumerate(zip(conv_ids, turn_idxs, texts)):
@@ -363,19 +257,14 @@ def decode_triple_batch(params, index, keep_names, batch: pa.Table,
             conf.append(c)
             for k in t_cols:
                 t_cols[k].append(None)
-        tkey = None
-        if triple_memo is not None:
-            tkey = text.encode("utf-8") + b"\0" + _row_key(rows, i)
-            triples = triple_memo.get(tkey)
-            if triples is None:
-                triples = extract_triples_for_turn(
-                    make_doc(text), spans, index) if spans else []
-                if len(triple_memo) > _CACHE_CAP:
-                    triple_memo.clear()
-                triple_memo[tkey] = triples
-        else:
+        tkey = text.encode("utf-8") + b"\0" + _row_key(rows, i)
+        triples = triple_memo.get(tkey)
+        if triples is None:
             triples = extract_triples_for_turn(
                 make_doc(text), spans, index) if spans else []
+            if len(triple_memo) > _CACHE_CAP:
+                triple_memo.clear()
+            triple_memo[tkey] = triples
         for (subj, sl, pred, obj, ol, sid, oid, tc) in triples:
             kind.append("t")
             conv.append(ci)
@@ -442,110 +331,3 @@ def extract_triples_for_turn(doc, spans, index: AliasIndex):
                             subj_id, obj_id, min(c1, c2)))
                 break
     return out
-
-
-class TripleStage:
-    """Fused decode -> link -> relation-template stage.
-
-    Emits one row per extracted triple with linked entity ids; the graph
-    tables (nodes/edges) are grouped aggregates downstream."""
-
-    def __init__(self, params_ref, gazetteers_ref, keep_names=None):
-        self.params: HMMParams = _get(params_ref)
-        self.index = AliasIndex(_get(gazetteers_ref))
-        self.keep_names = keep_names
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return triple_batch(self.params, self.index, self.keep_names, batch)
-
-
-def make_triple_fn(params_ref, gazetteers_ref, keep_names=None):
-    """Stateless-task fused decode/link/triple stage: params and the alias
-    index are built once per worker from the broadcast refs."""
-    from .util import cached_from_ref
-
-    def triples(batch: pa.Table) -> pa.Table:
-        params = cached_from_ref(params_ref)
-        index = cached_from_ref(gazetteers_ref, builder=AliasIndex,
-                                key_extra="alias_index")
-        memo = cached_from_ref(params_ref, builder=lambda _: {},
-                               key_extra="triple_memo")
-        return triple_batch(params, index, keep_names, batch, memo=memo)
-
-    return triples
-
-
-def triple_batch(params, index, keep_names, batch: pa.Table,
-                 memo: dict | None = None) -> pa.Table:
-    cols = {k: [] for k in
-            ("conv_id", "turn_idx", "subj", "subj_label", "pred", "obj",
-             "obj_label", "subj_id", "obj_id", "conf")}
-    import numpy as np
-
-    from ..state.hmm import decode_turn_flat
-
-    conv_ids = batch.column("conv_id").to_pylist()
-    turn_idxs = batch.column("turn_idx").to_pylist()
-    texts = batch.column("text").to_pylist()
-    encoded = "o_t" in batch.column_names
-    rows = ObsRows(batch) if encoded else None
-    if encoded:
-        f_t = rows.cols["o_t"].astype(np.int64)
-        f_s = rows.cols["o_s"].astype(np.int64)
-        f_state = rows.cols["o_state"].astype(np.int64)
-        f_conf = rows.cols["o_conf"].astype(np.float64)
-
-    def triples_for(i, text):
-        # triples depend on (text, obs pattern) only — memoise whole
-        # rows (duplicate turns are adjacent in the fp-sorted table)
-        key = None
-        if memo is not None and encoded:
-            key = text.encode("utf-8") + b"\0" + _row_key(rows, i)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        if encoded:
-            nt = int(rows.n_tokens[i])
-            lo, hi = rows.offsets[i], rows.offsets[i + 1]
-            spans = decode_turn_flat(params, nt, f_t[lo:hi], f_s[lo:hi],
-                                     f_state[lo:hi], f_conf[lo:hi]) \
-                if nt else []
-        else:
-            obs = layers_to_obs(
-                mentions_to_layers(batch.column("mentions")[i].as_py()),
-                batch.column("n_tokens")[i].as_py(), keep_names)
-            spans = decode_turn(obs, params) if obs.n_tokens else []
-        out = []
-        if spans:
-            out = extract_triples_for_turn(make_doc(text), spans, index)
-        if key is not None:
-            if len(memo) > _CACHE_CAP:
-                memo.clear()
-            memo[key] = out
-        return out
-
-    for i, (ci, ti, text) in enumerate(zip(conv_ids, turn_idxs, texts)):
-        for (subj, sl, pred, obj, ol, sid, oid, conf) in \
-                triples_for(i, text):
-            cols["conv_id"].append(ci)
-            cols["turn_idx"].append(ti)
-            cols["subj"].append(subj)
-            cols["subj_label"].append(sl)
-            cols["pred"].append(pred)
-            cols["obj"].append(obj)
-            cols["obj_label"].append(ol)
-            cols["subj_id"].append(sid)
-            cols["obj_id"].append(oid)
-            cols["conf"].append(conf)
-    return pa.table({
-        "conv_id": pa.array(cols["conv_id"], pa.string()),
-        "turn_idx": pa.array(cols["turn_idx"], pa.int32()),
-        "subj": pa.array(cols["subj"], pa.string()),
-        "subj_label": pa.array(cols["subj_label"], pa.string()),
-        "pred": pa.array(cols["pred"], pa.string()),
-        "obj": pa.array(cols["obj"], pa.string()),
-        "obj_label": pa.array(cols["obj_label"], pa.string()),
-        "subj_id": pa.array(cols["subj_id"], pa.string()),
-        "obj_id": pa.array(cols["obj_id"], pa.string()),
-        "conf": pa.array(cols["conf"], pa.float32()),
-    })

@@ -23,6 +23,8 @@ corrections only for the (token, source) pairs that actually fired.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from ..constants import LABEL_INDICES, POSITIONED_LABELS
@@ -75,6 +77,15 @@ class HMMParams:
         self.keep_set = set(self.keep.tolist())
         self.keep_mask = np.zeros(N_SOURCES, bool)
         self.keep_mask[self.keep] = True
+
+    def digest(self) -> str:
+        """Content hash of the parameters (tags outputs decoded with
+        them)."""
+        h = hashlib.sha256()
+        for a in (self.startprob, self.transmat, self.emission_probs,
+                  self.keep):
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()[:16]
 
     def save(self, path: str) -> None:
         np.savez_compressed(
@@ -221,15 +232,6 @@ def backward(ll: np.ndarray, params: HMMParams) -> np.ndarray:
     for t in range(T - 2, -1, -1):
         bwd[t] = _logsumexp(lt + (ll[t + 1] + bwd[t + 1])[None, :], axis=1)
     return bwd
-
-
-def posteriors_from(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    lg = fwd + bwd
-    lg -= _logsumexp(lg, axis=1)[:, None]
-    with np.errstate(under="ignore"):
-        post = np.exp(lg)
-    post[~np.isfinite(lg)] = 0.0
-    return post
 
 
 def viterbi(ll: np.ndarray, params: HMMParams) -> tuple[float, np.ndarray]:
