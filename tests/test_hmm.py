@@ -150,51 +150,6 @@ def test_suffstats_merge_equals_sequential():
     assert abs(both.logprob - merged.logprob) < 1e-9
 
 
-def test_accumulate_block_matches_per_turn():
-    """Experimental batched E-step produces the same sufficient statistics
-    as the per-turn path (within fp tolerance)."""
-    import numpy as np
-    from weak_supervision_for_ner_ray.state.hmm import accumulate_block
-
-    p = tiny_params()
-    rng = np.random.default_rng(11)
-    observations = []
-    for _ in range(40):
-        o = TurnObs(int(rng.integers(2, 20)))
-        for _ in range(int(rng.integers(1, 6))):
-            s = int(rng.integers(0, o.n_tokens - 1))
-            o.add_span(hmm.BEST_COVERAGE_INDEX, s, s + 1, "GPE", 1.0)
-            o.add_span(int(hmm.SOURCE_INDICES["wiki_cased"]), s, s + 1,
-                       "GPE", 0.5)
-        observations.append(o)
-    # include a multi-label observation (fallback path)
-    observations[0].add_span(hmm.BEST_COVERAGE_INDEX, 0, 1, "ORG", 0.4)
-
-    n_tokens, o_t, o_s, o_state, o_conf, offsets = [], [], [], [], [], [0]
-    for ob in observations:
-        n_tokens.append(ob.n_tokens)
-        for (t, s) in sorted(ob.fired):
-            for st, c in ob.fired[(t, s)].items():
-                o_t.append(t)
-                o_s.append(s)
-                o_state.append(st)
-                o_conf.append(c)
-        offsets.append(len(o_t))
-
-    s1 = SuffStats()
-    for ob in observations:
-        hmm.accumulate(ob, p, s1)
-    s2 = SuffStats()
-    accumulate_block(p, np.array(n_tokens), np.array(offsets),
-                     np.array(o_t), np.array(o_s), np.array(o_state),
-                     np.array(o_conf), s2, chunk=16)
-    assert s1.n_seqs == s2.n_seqs
-    assert abs(s1.logprob - s2.logprob) < 1e-6
-    assert np.abs(s1.start - s2.start).max() < 1e-8
-    assert np.abs(s1.trans - s2.trans).max() < 1e-8
-    assert np.abs(s1.obs - s2.obs).max() < 1e-8
-
-
 def test_keep_subset_never_masks_O():
     """With a keep subset the reference sums X over ALL sources, so state O
     stays observable even when every kept source fires
@@ -223,8 +178,8 @@ def test_keep_subset_never_masks_O():
 def test_nonkept_source_keeps_state_observable():
     """The reference's observed-state mask sums X over ALL sources
     (labelling.py:443-445): a state fired only by a NON-kept source stays
-    live, even though it contributes nothing to the likelihood.  All three
-    kernels (dict, flat, block) must agree."""
+    live, even though it contributes nothing to the likelihood.  The dict
+    and flat kernels must agree."""
     from weak_supervision_for_ner_ray.constants import LABEL_INDICES
 
     K, S = hmm.N_STATES, hmm.N_SOURCES
@@ -255,53 +210,17 @@ def test_nonkept_source_keeps_state_observable():
     ll_flat, _, _, _ = hmm.frame_ll_flat(5, pt, ps, pst, pc, p)
     assert np.allclose(ll, ll_flat, equal_nan=True)
 
-    # block kernel parity on the sufficient statistics
-    s_dict, s_block = SuffStats(), SuffStats()
+    # flat E-step kernel parity on the sufficient statistics
+    s_dict, s_flat = SuffStats(), SuffStats()
     hmm.accumulate(o, p, s_dict)
-    hmm.accumulate_block(p, np.array([5]), np.array([0, len(pt)]),
-                         pt, ps, pst, pc, s_block, chunk=4)
-    assert abs(s_dict.logprob - s_block.logprob) < 1e-9
-    assert np.abs(s_dict.start - s_block.start).max() < 1e-10
-    assert np.abs(s_dict.obs - s_block.obs).max() < 1e-10
-
-
-def test_accumulate_block_keep_subset_parity():
-    """Batched kernel matches per-turn accumulate under a keep subset."""
-    K, S = hmm.N_STATES, hmm.N_SOURCES
-    obs_counts = np.zeros((S, K))
-    obs_counts[:, 0] = 10000.0
-    keep = sorted({hmm.BEST_COVERAGE_INDEX,
-                   int(hmm.SOURCE_INDICES["wiki_cased"])})
-    p = init_params_from_counts(np.zeros(K), np.zeros((K, K)), obs_counts,
-                                seed=3, keep=keep)
-    rng = np.random.default_rng(5)
-    observations = []
-    for _ in range(25):
-        o = TurnObs(int(rng.integers(2, 15)))
-        for _ in range(int(rng.integers(1, 4))):
-            s = int(rng.integers(0, o.n_tokens - 1))
-            o.add_span(hmm.BEST_COVERAGE_INDEX, s, s + 1, "GPE", 1.0)
-        observations.append(o)
-    n_tokens, o_t, o_s, o_state, o_conf, offsets = [], [], [], [], [], [0]
-    for ob in observations:
-        n_tokens.append(ob.n_tokens)
-        for (t, s) in sorted(ob.fired):
-            for st, c in ob.fired[(t, s)].items():
-                o_t.append(t)
-                o_s.append(s)
-                o_state.append(st)
-                o_conf.append(c)
-        offsets.append(len(o_t))
-    s1 = SuffStats()
-    for ob in observations:
-        hmm.accumulate(ob, p, s1)
-    s2 = SuffStats()
-    hmm.accumulate_block(p, np.array(n_tokens), np.array(offsets),
-                         np.array(o_t), np.array(o_s), np.array(o_state),
-                         np.array(o_conf), s2, chunk=8)
-    assert s1.n_seqs == s2.n_seqs
-    assert abs(s1.logprob - s2.logprob) < 1e-6
-    assert np.abs(s1.obs - s2.obs).max() < 1e-8
+    defer, buf = np.zeros(K), hmm.EmisStatsBuffer()
+    hmm.accumulate_flat(p, 5, pt, ps, pst, pc, s_flat, defer_o=defer,
+                        emis_buf=buf)
+    buf.apply(s_flat)
+    s_flat.obs[p.keep, :, 0] += defer[None, :]
+    assert abs(s_dict.logprob - s_flat.logprob) < 1e-9
+    assert np.abs(s_dict.start - s_flat.start).max() < 1e-10
+    assert np.abs(s_dict.obs - s_flat.obs).max() < 1e-10
 
 
 def test_flat_kernels_match_dict_kernels():
@@ -317,7 +236,7 @@ def test_flat_kernels_match_dict_kernels():
         p = init_params_from_counts(np.zeros(K), np.zeros((K, K)),
                                     obs_counts, seed=2, keep=keep)
         s_dict, s_flat = SuffStats(), SuffStats()
-        defer = np.zeros(K)
+        defer, buf = np.zeros(K), hmm.EmisStatsBuffer()
         for trial in range(30):
             o = TurnObs(int(rng.integers(2, 18)))
             for _ in range(int(rng.integers(1, 6))):
@@ -341,10 +260,11 @@ def test_flat_kernels_match_dict_kernels():
             w = float(rng.integers(1, 4))
             hmm.accumulate(o, p, s_dict, weight=w)
             hmm.accumulate_flat(p, o.n_tokens, pt, ps, pst, pc, s_flat,
-                                weight=w, defer_o=defer)
+                                weight=w, defer_o=defer, emis_buf=buf)
             spans_a = decode_turn(o, p)
             spans_b = hmm.decode_turn_flat(p, o.n_tokens, pt, ps, pst, pc)
             assert spans_a == spans_b
+        buf.apply(s_flat)
         s_flat.obs[p.keep, :, 0] += defer[None, :]
         assert s_dict.n_seqs == s_flat.n_seqs
         assert abs(s_dict.logprob - s_flat.logprob) < 1e-8
@@ -367,7 +287,7 @@ def test_o_run_compression_exact_parity():
         p = init_params_from_counts(np.zeros(K), np.zeros((K, K)),
                                     obs_counts, seed=7, keep=keep)
         s_dict, s_flat = SuffStats(), SuffStats()
-        defer = np.zeros(K)
+        defer, buf = np.zeros(K), hmm.EmisStatsBuffer()
         cases = []
         # fully-unfired turn (compresses to a single token)
         cases.append((TurnObs(40), 2.0))
@@ -398,9 +318,10 @@ def test_o_run_compression_exact_parity():
             pc = np.array(pc, np.float64)
             hmm.accumulate(o, p, s_dict, weight=w)
             hmm.accumulate_flat(p, o.n_tokens, pt, ps, pst, pc, s_flat,
-                                weight=w, defer_o=defer)
+                                weight=w, defer_o=defer, emis_buf=buf)
             assert decode_turn(o, p) == hmm.decode_turn_flat(
                 p, o.n_tokens, pt, ps, pst, pc)
+        buf.apply(s_flat)
         s_flat.obs[p.keep, :, 0] += defer[None, :]
         assert s_dict.n_seqs == s_flat.n_seqs
         assert abs(s_dict.logprob - s_flat.logprob) < 1e-7

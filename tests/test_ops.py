@@ -514,6 +514,22 @@ def test_knn_graph_guard(ray_session, docs_dir):
         ops.knn_graph(docs_dir, max_rows=5)
 
 
+def test_knn_graph_rejects_ids_past_composite_key(ray_session, tmp_path):
+    """knn_graph ranks on the packed key micros·2³² + (2³²−1−id); a
+    vec_id of 2³² would alias the next micro, so it must raise a
+    ValueError (a bare assert vanishes under ``python -O``)."""
+    import pyarrow.parquet as pq_
+    d = tmp_path / "bigid"
+    d.mkdir()
+    pq_.write_table(pa.table({
+        "vec_id": pa.array([0, 1, 2 ** 32], pa.int64()),
+        "embedding": pa.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                              pa.list_(pa.float32())),
+    }), str(d / "embeddings.parquet"))
+    with pytest.raises(ValueError, match="vec_id < 2"):
+        to_arrow(ops.knn_graph(str(d), k=1))
+
+
 def test_semantic_dedup(ray_session, neardup_dir):
     """SemDeDup keep flags equal a brute-force replay of the rule —
     the (separately oracle-tested) kmeans assignment + all-pairs float64
@@ -2306,8 +2322,10 @@ def test_events_adversarial_oracle_parity(ray_session, tmp_path):
 def test_embeddings_adversarial_oracle_parity(ray_session, tmp_path):
     """The embeddings-only ANN/dedup oracles hash-match on an
     adversarial vector table: an all-zero vector (cosine norm 0),
-    exact duplicates, a negated vector, axis-aligned one-hots, and
-    denormal-small components."""
+    exact duplicates, a negated vector, axis-aligned one-hots,
+    denormal-small components, and two tiny vectors parallel to ``base``
+    (norm below 1e-12, where an epsilon norm floor would scale them
+    off the unit sphere and miss their cosine-1 pairs)."""
     import duckdb
     import pyarrow.parquet as pq
     import __ray_entry__ as entrymod
@@ -2326,6 +2344,8 @@ def test_embeddings_adversarial_oracle_parity(ray_session, tmp_path):
     vecs.append(np.full(dim, 1e-30, np.float32))    # denormal-small
     for _ in range(11):
         vecs.append(rng.normal(size=dim).astype(np.float32))
+    vecs.append(base * np.float32(1e-14))           # parallel, norm < 1e-12
+    vecs.append(base * np.float32(2e-14))
     d = tmp_path / "advemb"
     d.mkdir()
     pq.write_table(pa.table({

@@ -1115,7 +1115,7 @@ def _cos_normalize(M: np.ndarray):
     """Row-normalise for cosine similarity; returns ``(Mn, zero)``.
 
     A zero-norm row normalises to zeros and its ``zero`` mask bit marks
-    it so callers can impose the oracle convention — DuckDB
+    it so :func:`_cos_micros` can impose the oracle convention — DuckDB
     ``list_cosine_similarity`` returns **-1.0** whenever either side
     has zero norm — instead of the NaN (unguarded) or 0.0 (eps-guarded)
     a plain division produces.  No epsilon floor: a denormal-small but
@@ -1127,65 +1127,121 @@ def _cos_normalize(M: np.ndarray):
     return M / np.where(n == 0.0, 1.0, n), zero
 
 
+def _cos_micros(a, b, rowwise: bool = False) -> np.ndarray:
+    """Cosine similarity as integer micros, the one scoring kernel of
+    every cosine op: ``a·bᵀ`` (row-wise dots when ``rowwise``) of two
+    float64 ``(Mn, zero)`` pairs from :func:`_cos_normalize`, -1 where
+    either side has zero norm, rounded half-away-from-zero like DuckDB
+    ``round(sim * 1e6)`` — so thresholds and tie-breaks are exact integer
+    comparisons on both the engine and the SQL-oracle side."""
+    (an, a_zero), (bn, b_zero) = a, b
+    if rowwise:
+        sims = np.einsum("ij,ij->i", an, bn)
+        sims[a_zero | b_zero] = -1.0
+    else:
+        sims = an @ bn.T
+        sims[a_zero, :] = -1.0
+        sims[:, b_zero] = -1.0
+    return np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
+                       sims).astype(np.int64)
+
+
+def _block_topk(q_ids: np.ndarray, ids: np.ndarray, scores: np.ndarray,
+                k: int, col: str, descending: bool = False,
+                mask: np.ndarray | None = None) -> pa.Table:
+    """Exact per-block top-``k`` per query, the combiner half of every
+    ANN query (:func:`_merge_topk` is the other): column ``qi`` of the
+    (B, nq) ``scores`` ranks the block's rows — only those ``mask``
+    (B, nq) keeps, if given — for query ``q_ids[qi]`` by (score, vec_id
+    ascending), the score descending for similarities.  A partition
+    finds the k-th score and only rows at or above it are lex-sorted, so
+    a tie AT the cut is cut by vec_id, at O(B) and with no bound on the
+    ids (unlike a packed ``score·2³² + id`` key)."""
+    key = -scores if descending else scores
+    sel_q, sel_r = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for qi in range(len(q_ids)):
+        rows = np.arange(len(ids)) if mask is None \
+            else np.flatnonzero(mask[:, qi])
+        if len(rows) > k:
+            s = key[rows, qi]
+            rows = rows[s <= np.partition(s, k - 1)[k - 1]]
+        sel_r.append(rows[np.lexsort((ids[rows], key[rows, qi]))[:k]])
+        sel_q.append(np.full(len(sel_r[-1]), qi, np.int64))
+    qi, rows = np.concatenate(sel_q), np.concatenate(sel_r)
+    return pa.table({"query_id": pa.array(q_ids[qi], pa.int64()),
+                     "vec_id": pa.array(ids[rows], pa.int64()),
+                     col: pa.array(scores[rows, qi], pa.int64())})
+
+
+def _merge_topk(ds, part_fn, k: int, col: str, descending: bool = False,
+                batch_size: int = 2048) -> pa.Table:
+    """Run ``part_fn`` (a :func:`_block_topk` per block) over ``ds`` and
+    merge the tiny partials once, Arrow-native: sort on (query_id,
+    score, vec_id), rank from 1 per query, keep ``rank ≤ k``.  Returns
+    (query_id, rank, vec_id, <col>), all int64."""
+    parts = _to_arrow(ds.map_batches(part_fn, batch_format="pyarrow",
+                                     batch_size=batch_size,
+                                     zero_copy_batch=True))
+    if parts.num_rows == 0:
+        parts = pa.table({c: pa.array([], pa.int64())
+                          for c in ("query_id", "vec_id", col)})
+    parts = parts.sort_by([
+        ("query_id", "ascending"),
+        (col, "descending" if descending else "ascending"),
+        ("vec_id", "ascending")])
+    q = parts["query_id"].to_numpy()
+    pos = np.arange(len(q))
+    head = np.ones(len(q), bool)
+    head[1:] = q[1:] != q[:-1]
+    rank = pos - np.maximum.accumulate(np.where(head, pos, 0)) + 1
+    keep = pa.array(rank <= k)
+    return pa.table({
+        "query_id": parts["query_id"].filter(keep),
+        "rank": pa.array(rank, pa.int64()).filter(keep),
+        "vec_id": parts["vec_id"].filter(keep),
+        col: parts[col].filter(keep),
+    })
+
+
+def _query_vectors(ds, sf_dir: str, n_queries: int):
+    """(query ids, query embedding column): the ``n_queries`` vectors
+    with the smallest vec_ids, the query set of every ANN op."""
+    qtbl = _smallest_by_vec_id(ds, n_queries, sf_dir)
+    return (pc.cast(qtbl["vec_id"], pa.int64()).to_numpy(),
+            qtbl["embedding"])
+
+
 def knn_bruteforce(sf_dir: str, n_queries: int = 8, k: int = 10):
     """Brute-force cosine top-k: the query matrix (smallest ``n_queries``
     vec_ids) is broadcast; each batch computes a local top-k via one matmul;
     partial top-ks are merged on the driver (tiny)."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    qtbl = _smallest_by_vec_id(ds, n_queries, sf_dir)
-    q_ids = qtbl["vec_id"].to_pylist()
-    Q = np.array(qtbl["embedding"].to_pylist(), np.float64)
-    Qn, q_zero = _cos_normalize(Q)
-    q_ref = ray.put((q_ids, Qn, q_zero))
+    q_ids, q_emb = _query_vectors(ds, sf_dir, n_queries)
+    return _cosine_topk(ds, q_ids, _embedding_matrix(q_emb), k)
+
+
+def _cosine_topk(ds, q_ids: np.ndarray, Q: np.ndarray, k: int,
+                 row_filter=None) -> pa.Table:
+    """Cosine top-``k`` of the float64 query rows ``Q`` over every row of
+    ``ds``, or over the rows the block-side ``row_filter(X)`` mask keeps:
+    the normalised queries are broadcast once, each block scores its
+    rows with one matmul and keeps its exact top-k."""
+    state_ref = ray.put((q_ids, _cos_normalize(Q), row_filter))
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        q_ids_, Qn_, q_zero_ = ray.get(q_ref)
-        ids = np.array(batch["vec_id"].to_pylist(), np.int64)
+        from ..stages.util import cached_from_ref
+        q_ids_, q_norm, row_filter_ = cached_from_ref(state_ref)
+        ids = pc.cast(batch["vec_id"], pa.int64()).to_numpy()
         X = _embedding_matrix(batch["embedding"])
-        Xn, x_zero = _cos_normalize(X)
-        sims = Xn @ Qn_.T                          # (B, Q)
-        sims[x_zero, :] = -1.0                     # oracle convention:
-        sims[:, q_zero_] = -1.0                    # zero-norm cos = -1
-        # similarity as integer micros: order-stable + hash-identical to
-        # the SQL oracle; half-away-from-zero to match DuckDB round()
-        # (floor(x+0.5) would differ for negative sims on exact .5 ties)
-        micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                             sims).astype(np.int64)
-        rows = {"query_id": [], "vec_id": [], "sim_micro": []}
-        kk = min(k, len(ids))
-        # exact (sim desc, vec_id asc) selection at O(B): argpartition
-        # on the composite key micros·2³² + (2³²−1−id) — a bare-micros
-        # partition kept an ARBITRARY subset of rows tying at the kth
-        # value, and the driver merge can't recover ids a block never
-        # emitted (the knn_graph kernel shape)
-        assert ids.max(initial=0) < (1 << 32), "composite key needs id < 2^32"
-        inv_id = np.int64((1 << 32) - 1) - ids
-        for qi, qid in enumerate(q_ids_):
-            s = micros[:, qi]
-            comp = s * np.int64(1 << 32) + inv_id
-            idx = np.argpartition(-comp, kk - 1)[:kk]
-            for i in idx:
-                rows["query_id"].append(qid)
-                rows["vec_id"].append(int(ids[i]))
-                rows["sim_micro"].append(int(s[i]))
-        return pa.table({
-            "query_id": pa.array(rows["query_id"], pa.int64()),
-            "vec_id": pa.array(rows["vec_id"], pa.int64()),
-            "sim_micro": pa.array(rows["sim_micro"], pa.int64()),
-        })
+        if row_filter_ is not None:
+            keep = row_filter_(X)
+            ids, X = ids[keep], X[keep]
+        micros = _cos_micros(_cos_normalize(X), q_norm)      # (B, Q)
+        return _block_topk(q_ids_, ids, micros, k, "sim_micro",
+                           descending=True)
 
-    partials = _to_arrow(ds.map_batches(partial_topk,
-                                        batch_format="pyarrow",
-                                        batch_size=4096,
-                                        zero_copy_batch=True))
-    df = partials.to_pandas()
-    df = df.sort_values(["query_id", "sim_micro", "vec_id"],
-                        ascending=[True, False, True])
-    df = df.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["query_id", "rank", "vec_id", "sim_micro"]],
-        preserve_index=False)
+    return _merge_topk(ds, partial_topk, k, "sim_micro", descending=True,
+                       batch_size=4096)
 
 
 def _emb_micros(col) -> np.ndarray:
@@ -1226,62 +1282,109 @@ def _table_fingerprint(sf_dir: str, name: str = "embeddings") -> tuple:
     return tuple(out)
 
 
-def _kmeans_centroids(ds, k: int, iters: int,
-                      cache_key: tuple | None = None,
-                      sf_dir: str | None = None) -> np.ndarray:
-    """The Lloyd training loop shared by :func:`kmeans_ivf_assign` and
-    :func:`ivf_query` — per-block integer partials, driver fold,
-    broadcast; see kmeans_ivf_assign for the exactness contract.
+def _pq_codebooks(ds, sf_dir: str, m: int, k: int,
+                  iters: int) -> np.ndarray:
+    """The one Lloyd's k-means trainer: an independent k-means per
+    length-``dim/m`` subspace, trained in ONE dataset pass per iteration
+    (each block emits integer sufficient statistics for all ``m``
+    subspaces at once).  ``m=1`` is the coarse quantizer of
+    :func:`kmeans_ivf_assign`, which states the exactness contract.
     Training is deterministic, so repeated calls on the same input
-    (assign then query) reuse the per-process cached centroids."""
-    if cache_key is not None and cache_key in _KMEANS_CACHE:
+    (assign then query) reuse the per-process cached result.  Returns
+    (m, k, dim/m) int64."""
+    cache_key = (sf_dir, m, k, iters, _table_fingerprint(sf_dir))
+    if cache_key in _KMEANS_CACHE:
         return _KMEANS_CACHE[cache_key]
-    seed_tbl = _smallest_by_vec_id(ds, k, sf_dir)
-    centroids = _emb_micros(seed_tbl["embedding"])          # (k, dim)
-    k = centroids.shape[0]                  # corpus may hold < k vectors
-    dim = centroids.shape[1]
+    seed = _emb_micros(_smallest_by_vec_id(ds, k, sf_dir)["embedding"])
+    k = seed.shape[0]                       # corpus may hold < k vectors
+    dim = seed.shape[1]
+    sub = dim // m
+    books = np.stack([seed[:, j * sub:(j + 1) * sub] for j in range(m)])
     for _ in range(iters):
-        C = centroids
+        B = books
 
         def partial(batch: pa.Table) -> pa.Table:
             X = _emb_micros(batch["embedding"])
-            a, _ = _kmeans_assign(X, C)
-            sums = np.zeros((k, dim), np.int64)
-            np.add.at(sums, a, X)
-            counts = np.bincount(a, minlength=k).astype(np.int64)
+            codes = _pq_encode(X, B)
+            n = np.zeros((m, k), np.int64)
+            s = np.zeros((m, k, sub), np.int64)
+            for j in range(m):
+                n[j] = np.bincount(codes[:, j], minlength=k)
+                np.add.at(s[j], codes[:, j], X[:, j * sub:(j + 1) * sub])
+            # one row per (subspace, cluster), in that order
             return pa.table({
-                "cid": pa.array(np.arange(k, dtype=np.int64)),
-                "n": pa.array(counts),
-                "s": pa.array(list(sums), pa.list_(pa.int64())),
+                "n": pa.array(n.reshape(-1)),
+                "s": pa.array(list(s.reshape(m * k, sub)),
+                              pa.list_(pa.int64())),
             })
 
         agg = _to_arrow(ds.map_batches(partial, batch_format="pyarrow",
                                        batch_size=2048,
                                        zero_copy_batch=True))
-        cid = np.asarray(agg["cid"].to_pylist(), np.int64)
-        n = np.asarray(agg["n"].to_pylist(), np.int64)
-        s = np.asarray(agg["s"].to_pylist(), np.int64).reshape(-1, dim)
-        counts = np.zeros(k, np.int64)
-        sums = np.zeros((k, dim), np.int64)
-        np.add.at(counts, cid, n)
-        np.add.at(sums, cid, s)
-        new_c = centroids.copy()
+        # every block emits the same m·k rows: fold by summing blocks
+        counts = np.asarray(agg["n"].to_pylist(), np.int64) \
+            .reshape(-1, m, k).sum(axis=0)
+        sums = np.asarray(agg["s"].to_pylist(), np.int64) \
+            .reshape(-1, m, k, sub).sum(axis=0)
+        new = books.copy()
         nz = counts > 0
         ratio = sums[nz] / counts[nz, None]          # exact ints / n
-        new_c[nz] = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio) \
+        new[nz] = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio) \
             .astype(np.int64)
-        centroids = new_c
-    if cache_key is not None:
-        if len(_KMEANS_CACHE) > 32:
-            _KMEANS_CACHE.clear()
-        _KMEANS_CACHE[cache_key] = centroids
-    return centroids
+        books = new
+    if len(_KMEANS_CACHE) > 32:
+        _KMEANS_CACHE.clear()
+    _KMEANS_CACHE[cache_key] = books
+    return books
+
+
+def _pq_encode(X: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """(B, m) PQ codes of integer-micros rows ``X``: per subspace, the
+    nearest codebook entry (ties to the lowest code)."""
+    sub = books.shape[2]
+    return np.stack([_kmeans_assign(X[:, j * sub:(j + 1) * sub],
+                                    books[j])[0]
+                     for j in range(len(books))], axis=1)
+
+
+def _pq_adc(ds, sf_dir: str, Q: np.ndarray, m: int, k: int, iters: int):
+    """The ADC scorer of :func:`pq_query` and :func:`ivfpq_query`: one
+    (m, nq, k) int64 table of exact query-subspace-to-code d2, built
+    once on the driver; the returned ``adc(X)`` gives a block's (B, nq)
+    approximate distances as sums of ``m`` table lookups on its codes —
+    no vector arithmetic per candidate."""
+    books = _pq_codebooks(ds, sf_dir, m, k, iters)
+    sub = books.shape[2]
+    T = np.stack([_kmeans_assign(Q[:, j * sub:(j + 1) * sub], books[j])[1]
+                  for j in range(m)])
+
+    def adc(X: np.ndarray) -> np.ndarray:
+        codes = _pq_encode(X, books)        # (B, nq): m table lookups
+        return sum(T[j].T[codes[:, j]] for j in range(m))
+    return adc
+
+
+def _ivf_probe(ds, sf_dir: str, Q: np.ndarray, k: int, iters: int,
+               nprobe: int):
+    """The IVF probe of :func:`ivf_query` and :func:`ivfpq_query`: each
+    query's ``nprobe`` nearest coarse cells (ties to the lowest cid),
+    built once on the driver; the returned ``probed(X)`` is a block's
+    (B, nq) mask of rows whose cell a query probes."""
+    C = _pq_codebooks(ds, sf_dir, 1, k, iters)[0]
+    _, qd2 = _kmeans_assign(Q, C)
+    probe = np.argsort(qd2, axis=1, kind="stable")[:, :nprobe]  # (nq, p)
+
+    def probed(X: np.ndarray) -> np.ndarray:
+        cell, _ = _kmeans_assign(X, C)
+        return (cell[:, None, None] == probe[None, :, :]).any(axis=2)
+    return probed
 
 
 def kmeans_ivf_assign(sf_dir: str, k: int = 8, iters: int = 3):
     """Distributed Lloyd's k-means over the embedding table — the coarse
     quantizer an IVF ANN index trains (each final cluster = one IVF
-    cell/partition).  Scale shape per iteration:
+    cell/partition), trained by :func:`_pq_codebooks` with one subspace.
+    Scale shape per iteration:
 
     * one ``map_batches`` pass emits per-block PARTIAL sufficient
       statistics (per-cluster int64 coordinate sums + counts, a k×dim
@@ -1297,10 +1400,7 @@ def kmeans_ivf_assign(sf_dir: str, k: int = 8, iters: int = 3):
     oracle.  Init: the k vectors with the smallest vec_ids.  An emptied
     cluster keeps its previous centroid."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    C = _kmeans_centroids(
-        ds, k, iters,
-        cache_key=(sf_dir, k, iters, _table_fingerprint(sf_dir)),
-        sf_dir=sf_dir)
+    C = _pq_codebooks(ds, sf_dir, 1, k, iters)[0]
 
     def final(batch: pa.Table) -> pa.Table:
         X = _emb_micros(batch["embedding"])
@@ -1318,7 +1418,7 @@ def kmeans_ivf_assign(sf_dir: str, k: int = 8, iters: int = 3):
 
 def ivf_query(sf_dir: str, k: int = 8, iters: int = 3,
               n_queries: int = 8, nprobe: int = 2, topk: int = 10):
-    """IVF ANN search over the k-means cells of :func:`_kmeans_centroids`:
+    """IVF ANN search over the k-means cells of :func:`kmeans_ivf_assign`:
     each query probes its ``nprobe`` nearest centroids and takes the
     exact int64-d2 top-``topk`` among vectors assigned to those cells —
     the standard inverted-file layout where a probe scans
@@ -1331,115 +1431,17 @@ def ivf_query(sf_dir: str, k: int = 8, iters: int = 3,
     the quantizer, so the SQL oracle (the unrolled k-means CTEs plus a
     probe join) matches exactly.  Ranks tie-break by vec_id."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    C = _kmeans_centroids(
-        ds, k, iters,
-        cache_key=(sf_dir, k, iters, _table_fingerprint(sf_dir)),
-        sf_dir=sf_dir)
-    qtbl = _smallest_by_vec_id(ds, n_queries, sf_dir)
-    q_ids = np.asarray(qtbl["vec_id"].to_pylist(), np.int64)
-    Q = _emb_micros(qtbl["embedding"])                       # (nq, dim)
-    # nprobe nearest cells per query (ties -> lowest cid via argsort)
-    qd2 = ((Q[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-    probe = np.argsort(qd2, axis=1, kind="stable")[:, :nprobe]  # (nq, p)
+    q_ids, q_emb = _query_vectors(ds, sf_dir, n_queries)
+    Q = _emb_micros(q_emb)                                   # (nq, dim)
+    probed = _ivf_probe(ds, sf_dir, Q, k, iters, nprobe)
 
     def partial(batch: pa.Table) -> pa.Table:
         X = _emb_micros(batch["embedding"])
-        ids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
-        cell, _ = _kmeans_assign(X, C)
-        out_q, out_v, out_d = [], [], []
-        for qi in range(len(q_ids)):
-            m = np.isin(cell, probe[qi])
-            if not m.any():
-                continue
-            d2 = ((X[m] - Q[qi][None, :]) ** 2).sum(axis=1)
-            order = np.lexsort((ids[m], d2))[:topk]
-            out_q.append(np.full(len(order), q_ids[qi], np.int64))
-            out_v.append(ids[m][order])
-            out_d.append(d2[order])
-        if not out_q:
-            e = np.empty(0, np.int64)
-            return pa.table({"query_id": pa.array(e), "vec_id":
-                             pa.array(e), "d2": pa.array(e)})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "vec_id": pa.array(np.concatenate(out_v)),
-            "d2": pa.array(np.concatenate(out_d)),
-        })
+        ids = pc.cast(batch["vec_id"], pa.int64()).to_numpy()
+        _, d2 = _kmeans_assign(X, Q)                           # (B, nq)
+        return _block_topk(q_ids, ids, d2, topk, "d2", mask=probed(X))
 
-    parts = _to_arrow(ds.map_batches(partial, batch_format="pyarrow",
-                                     batch_size=2048,
-                                     zero_copy_batch=True)).to_pandas()
-    parts = parts.sort_values(["query_id", "d2", "vec_id"])
-    parts = parts.groupby("query_id", sort=True).head(topk) \
-        .reset_index(drop=True)
-    parts["rank"] = parts.groupby("query_id").cumcount() + 1
-    return pa.Table.from_pandas(
-        parts[["query_id", "rank", "vec_id", "d2"]], preserve_index=False)
-
-
-def _pq_codebooks(ds, m: int, k: int, iters: int,
-                  sf_dir: str | None = None,
-                  cache_key: tuple | None = None) -> np.ndarray:
-    """Product-quantization codebooks: an independent Lloyd's k-means per
-    length-``dim/m`` subspace, trained in ONE dataset pass per iteration
-    (each block emits per-(subspace, cluster) integer sufficient
-    statistics for all ``m`` subspaces at once).  Same integer-micros
-    exactness contract as :func:`_kmeans_centroids` — int sums are
-    order-free, centroid = round-half-away(S/n), ties argmin to the
-    lowest code — so the unrolled SQL oracle matches bit-for-bit.
-    Returns (m, k, dim/m) int64."""
-    if cache_key is not None and cache_key in _KMEANS_CACHE:
-        return _KMEANS_CACHE[cache_key]
-    seed = _emb_micros(_smallest_by_vec_id(ds, k, sf_dir)["embedding"])
-    k = seed.shape[0]
-    dim = seed.shape[1]
-    sub = dim // m
-    books = np.stack([seed[:, j * sub:(j + 1) * sub] for j in range(m)])
-    for _ in range(iters):
-        B = books
-
-        def partial(batch: pa.Table) -> pa.Table:
-            X = _emb_micros(batch["embedding"])
-            sid, cid, n, s = [], [], [], []
-            for j in range(m):
-                Xj = X[:, j * sub:(j + 1) * sub]
-                a, _ = _kmeans_assign(Xj, B[j])
-                sums = np.zeros((k, sub), np.int64)
-                np.add.at(sums, a, Xj)
-                sid.append(np.full(k, j, np.int64))
-                cid.append(np.arange(k, dtype=np.int64))
-                n.append(np.bincount(a, minlength=k).astype(np.int64))
-                s.append(sums)
-            return pa.table({
-                "sid": pa.array(np.concatenate(sid)),
-                "cid": pa.array(np.concatenate(cid)),
-                "n": pa.array(np.concatenate(n)),
-                "s": pa.array(list(np.concatenate(s)),
-                              pa.list_(pa.int64())),
-            })
-
-        agg = _to_arrow(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=2048,
-                                       zero_copy_batch=True))
-        sid = np.asarray(agg["sid"].to_pylist(), np.int64)
-        cid = np.asarray(agg["cid"].to_pylist(), np.int64)
-        n = np.asarray(agg["n"].to_pylist(), np.int64)
-        s = np.asarray(agg["s"].to_pylist(), np.int64).reshape(-1, sub)
-        counts = np.zeros((m, k), np.int64)
-        sums = np.zeros((m, k, sub), np.int64)
-        np.add.at(counts, (sid, cid), n)
-        np.add.at(sums, (sid, cid), s)
-        new = books.copy()
-        nz = counts > 0
-        ratio = sums[nz] / counts[nz, None]
-        new[nz] = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio) \
-            .astype(np.int64)
-        books = new
-    if cache_key is not None:
-        if len(_KMEANS_CACHE) > 32:
-            _KMEANS_CACHE.clear()
-        _KMEANS_CACHE[cache_key] = books
-    return books
+    return _merge_topk(ds, partial, topk, "d2")
 
 
 def pq_codes(sf_dir: str, m: int = 4, k: int = 8, iters: int = 2):
@@ -1449,17 +1451,14 @@ def pq_codes(sf_dir: str, m: int = 4, k: int = 8, iters: int = 2):
     Codebooks broadcast; each block encodes with ``m`` small matmul-free
     argmin kernels; no shuffle at all."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    books = _pq_codebooks(
-        ds, m, k, iters, sf_dir=sf_dir,
-        cache_key=("pq", sf_dir, m, k, iters, _table_fingerprint(sf_dir)))
-    sub = books.shape[2]
+    books = _pq_codebooks(ds, sf_dir, m, k, iters)
 
     def assign(batch: pa.Table) -> pa.Table:
-        X = _emb_micros(batch["embedding"])
+        codes = _pq_encode(_emb_micros(batch["embedding"]), books)
         cols = {"vec_id": batch["vec_id"]}
-        for j in range(books.shape[0]):
-            a, _ = _kmeans_assign(X[:, j * sub:(j + 1) * sub], books[j])
-            cols[f"code_{j}"] = pa.array(a.astype(np.int64), pa.int64())
+        for j in range(len(books)):
+            cols[f"code_{j}"] = pa.array(codes[:, j].astype(np.int64),
+                                         pa.int64())
         return pa.table(cols)
 
     return ds.map_batches(assign, batch_format="pyarrow",
@@ -1477,47 +1476,15 @@ def pq_query(sf_dir: str, m: int = 4, k: int = 8, iters: int = 2,
     driver merge (same shape as :func:`ivf_query`); everything on the
     integer-micros grid so the SQL oracle is exact."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    books = _pq_codebooks(
-        ds, m, k, iters, sf_dir=sf_dir,
-        cache_key=("pq", sf_dir, m, k, iters, _table_fingerprint(sf_dir)))
-    sub = books.shape[2]
-    qtbl = _smallest_by_vec_id(ds, n_queries, sf_dir)
-    q_ids = np.asarray(qtbl["vec_id"].to_pylist(), np.int64)
-    Q = _emb_micros(qtbl["embedding"])
-    # T[j] is (nq, k): exact int64 d2 of query subspace j to every code
-    T = np.stack([((Q[:, None, j * sub:(j + 1) * sub]
-                    - books[j][None, :, :]) ** 2).sum(axis=2)
-                  for j in range(m)])
+    q_ids, q_emb = _query_vectors(ds, sf_dir, n_queries)
+    adc = _pq_adc(ds, sf_dir, _emb_micros(q_emb), m, k, iters)
 
     def partial(batch: pa.Table) -> pa.Table:
-        X = _emb_micros(batch["embedding"])
-        ids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
-        adc = np.zeros((len(ids), len(q_ids)), np.int64)
-        for j in range(m):
-            a, _ = _kmeans_assign(X[:, j * sub:(j + 1) * sub], books[j])
-            adc += T[j].T[a]                   # (B, nq) table lookups
-        out_q, out_v, out_d = [], [], []
-        for qi in range(len(q_ids)):
-            order = np.lexsort((ids, adc[:, qi]))[:topk]
-            out_q.append(np.full(len(order), q_ids[qi], np.int64))
-            out_v.append(ids[order])
-            out_d.append(adc[order, qi])
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "vec_id": pa.array(np.concatenate(out_v)),
-            "adc_d2": pa.array(np.concatenate(out_d)),
-        })
+        ids = pc.cast(batch["vec_id"], pa.int64()).to_numpy()
+        return _block_topk(q_ids, ids, adc(_emb_micros(batch["embedding"])),
+                           topk, "adc_d2")
 
-    parts = _to_arrow(ds.map_batches(partial, batch_format="pyarrow",
-                                     batch_size=2048,
-                                     zero_copy_batch=True)).to_pandas()
-    parts = parts.sort_values(["query_id", "adc_d2", "vec_id"])
-    parts = parts.groupby("query_id", sort=True).head(topk) \
-        .reset_index(drop=True)
-    parts["rank"] = parts.groupby("query_id").cumcount() + 1
-    return pa.Table.from_pandas(
-        parts[["query_id", "rank", "vec_id", "adc_d2"]],
-        preserve_index=False)
+    return _merge_topk(ds, partial, topk, "adc_d2")
 
 
 def ivfpq_query(sf_dir: str, k_coarse: int = 8, coarse_iters: int = 3,
@@ -1534,58 +1501,18 @@ def ivfpq_query(sf_dir: str, k_coarse: int = 8, coarse_iters: int = 3,
     100 TB — is identical).  Deterministic on the integer-micros grid;
     exact unrolled-SQL oracle composes the two trainings."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    C = _kmeans_centroids(
-        ds, k_coarse, coarse_iters,
-        cache_key=(sf_dir, k_coarse, coarse_iters,
-                   _table_fingerprint(sf_dir)),
-        sf_dir=sf_dir)
-    books = _pq_codebooks(
-        ds, m, k, iters, sf_dir=sf_dir,
-        cache_key=("pq", sf_dir, m, k, iters, _table_fingerprint(sf_dir)))
-    sub = books.shape[2]
-    qtbl = _smallest_by_vec_id(ds, n_queries, sf_dir)
-    q_ids = np.asarray(qtbl["vec_id"].to_pylist(), np.int64)
-    Q = _emb_micros(qtbl["embedding"])
-    qd2 = ((Q[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-    probe = np.argsort(qd2, axis=1, kind="stable")[:, :nprobe]
-    T = np.stack([((Q[:, None, j * sub:(j + 1) * sub]
-                    - books[j][None, :, :]) ** 2).sum(axis=2)
-                  for j in range(m)])
+    q_ids, q_emb = _query_vectors(ds, sf_dir, n_queries)
+    Q = _emb_micros(q_emb)
+    probed = _ivf_probe(ds, sf_dir, Q, k_coarse, coarse_iters, nprobe)
+    adc = _pq_adc(ds, sf_dir, Q, m, k, iters)
 
     def partial(batch: pa.Table) -> pa.Table:
         X = _emb_micros(batch["embedding"])
-        ids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
-        cell, _ = _kmeans_assign(X, C)
-        adc = np.zeros((len(ids), len(q_ids)), np.int64)
-        for j in range(m):
-            a, _ = _kmeans_assign(X[:, j * sub:(j + 1) * sub], books[j])
-            adc += T[j].T[a]
-        out_q, out_v, out_d = [], [], []
-        for qi in range(len(q_ids)):
-            msk = np.isin(cell, probe[qi])
-            if not msk.any():
-                continue
-            order = np.lexsort((ids[msk], adc[msk, qi]))[:topk]
-            out_q.append(np.full(len(order), q_ids[qi], np.int64))
-            out_v.append(ids[msk][order])
-            out_d.append(adc[msk, qi][order])
-        e = np.empty(0, np.int64)
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q) if out_q else e),
-            "vec_id": pa.array(np.concatenate(out_v) if out_v else e),
-            "adc_d2": pa.array(np.concatenate(out_d) if out_d else e),
-        })
+        ids = pc.cast(batch["vec_id"], pa.int64()).to_numpy()
+        return _block_topk(q_ids, ids, adc(X), topk, "adc_d2",
+                           mask=probed(X))
 
-    parts = _to_arrow(ds.map_batches(partial, batch_format="pyarrow",
-                                     batch_size=2048,
-                                     zero_copy_batch=True)).to_pandas()
-    parts = parts.sort_values(["query_id", "adc_d2", "vec_id"])
-    parts = parts.groupby("query_id", sort=True).head(topk) \
-        .reset_index(drop=True)
-    parts["rank"] = parts.groupby("query_id").cumcount() + 1
-    return pa.Table.from_pandas(
-        parts[["query_id", "rank", "vec_id", "adc_d2"]],
-        preserve_index=False)
+    return _merge_topk(ds, partial, topk, "adc_d2")
 
 
 class LSHBucketStage:
@@ -1597,10 +1524,11 @@ class LSHBucketStage:
         rng = np.random.default_rng(seed)
         self.W = rng.standard_normal((dim, n_planes))
 
+    def codes(self, X: np.ndarray) -> np.ndarray:
+        return ((X @ self.W) > 0) @ (1 << np.arange(self.W.shape[1]))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        X = _embedding_matrix(batch["embedding"])
-        bits = (X @ self.W) > 0
-        bucket = bits @ (1 << np.arange(bits.shape[1]))
+        bucket = self.codes(_embedding_matrix(batch["embedding"]))
         return pa.table({
             "vec_id": batch["vec_id"],
             "bucket": pa.array(bucket.astype(np.int64), pa.int64()),
@@ -2489,87 +2417,53 @@ def ann_lsh_query(sf_dir: str, n_queries: int = 8, k: int = 10,
     approximate by construction (no SQL oracle; recall bound tested in
     tests/test_ops.py)."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    qtbl = _smallest_by_vec_id(ds, n_queries, sf_dir)
-    q_ids = qtbl["vec_id"].to_pylist()
-    Q = np.array(qtbl["embedding"].to_pylist(), np.float64)
-    dim = Q.shape[1]
-    Qn, q_zero = _cos_normalize(Q)
-    W = np.random.default_rng(seed).standard_normal((dim, n_planes))
-    qb = ((Q @ W) > 0) @ (1 << np.arange(n_planes))
-    probe: set[int] = set(int(b) for b in qb)
+    q_ids, q_emb = _query_vectors(ds, sf_dir, n_queries)
+    Q = _embedding_matrix(q_emb)
+    lsh = LSHBucketStage(Q.shape[1], n_planes, seed)
+    probe: set[int] = set(int(b) for b in lsh.codes(Q))
     if multiprobe >= 1:
         for b in list(probe):
             for j in range(n_planes):
                 probe.add(b ^ (1 << j))
-    state_ref = ray.put((q_ids, Qn, q_zero, W, frozenset(probe)))
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        from ..stages.util import cached_from_ref
-        q_ids_, Qn_, q_zero_, W_, probe_ = cached_from_ref(state_ref)
-        ids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
-        X = _embedding_matrix(batch["embedding"])
-        buckets = ((X @ W_) > 0) @ (1 << np.arange(W_.shape[1]))
-        keep = np.array([int(b) in probe_ for b in buckets], bool)
-        empty = pa.table({
-            "query_id": pa.array([], pa.int64()),
-            "vec_id": pa.array([], pa.int64()),
-            "sim_micro": pa.array([], pa.int64())})
-        if not keep.any():
-            return empty
-        ids, X = ids[keep], X[keep]
-        Xn, x_zero = _cos_normalize(X)
-        sims = Xn @ Qn_.T
-        sims[x_zero, :] = -1.0                   # oracle: zero-norm
-        sims[:, q_zero_] = -1.0                  # cosine = -1
-        micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                             sims).astype(np.int64)
-        rows = {"query_id": [], "vec_id": [], "sim_micro": []}
-        kk = min(k, len(ids))
-        # exact (sim desc, vec_id asc) block-local selection at O(B):
-        # composite-key argpartition (bare micros kept an arbitrary
-        # subset of kth-value ties — the knn_graph kernel shape)
-        assert ids.max(initial=0) < (1 << 32), "composite key needs id < 2^32"
-        inv_id = np.int64((1 << 32) - 1) - ids
-        for qi, qid in enumerate(q_ids_):
-            s = micros[:, qi]
-            comp = s * np.int64(1 << 32) + inv_id
-            idx = np.argpartition(-comp, kk - 1)[:kk] \
-                if kk < len(ids) else np.arange(len(ids))
-            for i in idx:
-                rows["query_id"].append(qid)
-                rows["vec_id"].append(int(ids[i]))
-                rows["sim_micro"].append(int(s[i]))
-        return pa.table({
-            "query_id": pa.array(rows["query_id"], pa.int64()),
-            "vec_id": pa.array(rows["vec_id"], pa.int64()),
-            "sim_micro": pa.array(rows["sim_micro"], pa.int64()),
-        })
-
-    partials = _to_arrow(ds.map_batches(partial_topk,
-                                        batch_format="pyarrow",
-                                        batch_size=4096,
-                                        zero_copy_batch=True))
-    df = partials.to_pandas()
-    df = df.sort_values(["query_id", "sim_micro", "vec_id"],
-                        ascending=[True, False, True])
-    df = df.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    df["rank"] = df.groupby("query_id").cumcount() + 1
-    return pa.Table.from_pandas(
-        df[["query_id", "rank", "vec_id", "sim_micro"]],
-        preserve_index=False)
+    probe_ids = np.array(sorted(probe), np.int64)
+    return _cosine_topk(ds, q_ids, Q, k,
+                        row_filter=lambda X: np.isin(lsh.codes(X),
+                                                     probe_ids))
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _gathered_matrix(refs: list):
     """Concatenate + normalise the embedding blocks INSIDE a task: the
     broadcast matrix never materialises on the driver (its output lives in
-    the object store and is read zero-copy-ish by the map tasks)."""
+    the object store and is read zero-copy-ish by the map tasks).  The
+    second, tiny return is the (min, max) vec_id."""
     tables = [t for t in ray.get(list(refs)) if t.num_rows]
     full = pa.concat_tables(tables)
     ids_all = np.asarray(full["vec_id"].to_pylist(), np.int64)
-    X = _embedding_matrix(full["embedding"])
-    Xn, zero = _cos_normalize(X)
-    return ids_all, Xn, zero
+    return ((ids_all, _cos_normalize(_embedding_matrix(full["embedding"]))),
+            (int(ids_all.min()), int(ids_all.max())))
+
+
+def _all_pairs_matrix(ds, op: str, max_rows: int, scale_path: str):
+    """The guard + broadcast of the all-pairs baseline ops: refuse more
+    than ``max_rows`` rows (naming the ``scale_path``), else return the
+    refs of :func:`_gathered_matrix` — ``(None, None)`` for an empty
+    table, which it cannot concat."""
+    n_rows = ds.count()
+    if n_rows > max_rows:
+        raise ValueError(
+            f"{op} is the all-pairs baseline, capped at {max_rows} rows "
+            f"(got {n_rows}); {scale_path}")
+    if n_rows == 0:
+        return None, None
+    return _gathered_matrix.remote(ds.to_arrow_refs())
+
+
+def _empty_pairs() -> pa.Table:
+    """The zero-row (a, b, sim_micro) table of the pair ops."""
+    return pa.table({"a": pa.array([], pa.int64()),
+                     "b": pa.array([], pa.int64()),
+                     "sim_micro": pa.array([], pa.int64())})
 
 
 def dedup_embedding_cosine(sf_dir: str, threshold_micro: int = 400_000,
@@ -2587,30 +2481,18 @@ def dedup_embedding_cosine(sf_dir: str, threshold_micro: int = 400_000,
     ONLY — larger datasets must use :func:`dedup_embedding_lsh` (the
     bucketed scale path); this op refuses them instead of melting down."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    n_rows = ds.count()
-    if n_rows > max_rows:
-        raise ValueError(
-            f"dedup_embedding_cosine is the all-pairs baseline, capped at "
-            f"{max_rows} rows (got {n_rows}); use dedup_embedding_lsh for "
-            f"the bucketed scale path")
-    if n_rows == 0:
-        # _gathered_matrix cannot concat zero blocks; empty in -> empty out
-        return rd.from_arrow(pa.table({
-            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-            "sim_micro": pa.array([], pa.int64())}))
-    mat_ref = _gathered_matrix.remote(ds.to_arrow_refs())
+    mat_ref, _ = _all_pairs_matrix(
+        ds, "dedup_embedding_cosine", max_rows,
+        "use dedup_embedding_lsh for the bucketed scale path")
+    if mat_ref is None:
+        return rd.from_arrow(_empty_pairs())
 
     def pairs(batch: pa.Table) -> pa.Table:
         from ..stages.util import cached_from_ref
-        ids_a, M, m_zero = cached_from_ref(mat_ref)
+        ids_a, m_norm = cached_from_ref(mat_ref)
         ids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
-        Y = _embedding_matrix(batch["embedding"])
-        Yn, y_zero = _cos_normalize(Y)
-        sims = Yn @ M.T                              # (B, N)
-        sims[y_zero, :] = -1.0                       # oracle: zero-norm
-        sims[:, m_zero] = -1.0                       # cosine = -1
-        micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                             sims).astype(np.int64)
+        micros = _cos_micros(_cos_normalize(
+            _embedding_matrix(batch["embedding"])), m_norm)   # (B, N)
         bi, aj = np.nonzero(micros >= threshold_micro)
         a_ids = ids[bi]
         b_ids = ids_a[aj]
@@ -2646,33 +2528,25 @@ def knn_graph(sf_dir: str, k: int = 5, max_rows: int = 2_000_000):
     still cuts deterministically — and the SQL oracle's ``row_number``
     replays it exactly."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    n_rows = ds.count()
-    if n_rows > max_rows:
-        raise ValueError(
-            f"knn_graph is the all-pairs baseline, capped at {max_rows} "
-            f"rows (got {n_rows}); bucket with dedup_embedding_lsh / "
-            f"kmeans_ivf_assign and rerank within buckets at scale")
-    empty = pa.table({
-        "a": pa.array([], pa.int64()), "rank": pa.array([], pa.int64()),
-        "b": pa.array([], pa.int64()),
-        "sim_micro": pa.array([], pa.int64())})
-    if n_rows == 0:
+    mat_ref, id_span = _all_pairs_matrix(
+        ds, "knn_graph", max_rows,
+        "bucket with dedup_embedding_lsh / kmeans_ivf_assign and rerank "
+        "within buckets at scale")
+    empty = _empty_pairs().add_column(1, "rank", pa.array([], pa.int64()))
+    if mat_ref is None:
         return rd.from_arrow(empty)
-    mat_ref = _gathered_matrix.remote(ds.to_arrow_refs())
     _ID32 = np.int64((1 << 32) - 1)
+    lo, hi = ray.get(id_span)
+    if lo < 0 or hi > _ID32:
+        raise ValueError(f"knn_graph's composite rank key needs "
+                         f"0 <= vec_id < 2^32 (got {lo}..{hi})")
 
     def topk(batch: pa.Table) -> pa.Table:
         from ..stages.util import cached_from_ref
-        ids_all, M, m_zero = cached_from_ref(mat_ref)
-        assert ids_all.max() <= _ID32, "composite rank key needs id < 2^32"
+        ids_all, m_norm = cached_from_ref(mat_ref)
         ids = np.asarray(batch["vec_id"].to_pylist(), np.int64)
-        Y = _embedding_matrix(batch["embedding"])
-        Yn, y_zero = _cos_normalize(Y)
-        sims = Yn @ M.T                                  # (B, N)
-        sims[y_zero, :] = -1.0                           # oracle: zero-
-        sims[:, m_zero] = -1.0                           # norm cos = -1
-        micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                             sims).astype(np.int64)
+        micros = _cos_micros(_cos_normalize(
+            _embedding_matrix(batch["embedding"])), m_norm)   # (B, N)
         comp = micros * (_ID32 + 1) + (_ID32 - ids_all[None, :])
         comp[ids[:, None] == ids_all[None, :]] = np.int64(-(1 << 62))
         kk = min(k, comp.shape[1] - 1)
@@ -2924,11 +2798,8 @@ def _verify_cosine_pairs(sf_dir: str, pairs, threshold_micro: int,
         })
 
     def verify(g: pa.Table) -> pa.Table:
-        empty = pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "sim_micro": pa.array([], pa.int64())})
         if g.num_rows == 0:
-            return empty
+            return _empty_pairs()
         side = g.column("side").to_numpy(zero_copy_only=False)
         a = g.column("a").to_numpy(zero_copy_only=False)
         b = g.column("b").to_numpy(zero_copy_only=False)
@@ -2937,17 +2808,10 @@ def _verify_cosine_pairs(sf_dir: str, pairs, threshold_micro: int,
         # matches the all-pairs kernel bit-for-bit
         o0 = np.lexsort((b[side == 0], a[side == 0]))
         o1 = np.lexsort((b[side == 1], a[side == 1]))
-        X = V[side == 0][o0]
-        Y = V[side == 1][o1]
         pa_ = a[side == 0][o0]
         pb_ = b[side == 0][o0]
-        Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True),
-                            1e-12)
-        Yn = Y / np.maximum(np.linalg.norm(Y, axis=1, keepdims=True),
-                            1e-12)
-        sims = np.einsum("ij,ij->i", Xn, Yn)
-        micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                             sims).astype(np.int64)
+        micros = _cos_micros(_cos_normalize(V[side == 0][o0]),
+                             _cos_normalize(V[side == 1][o1]), rowwise=True)
         keep = micros >= threshold_micro
         return pa.table({
             "a": pa.array(pa_[keep], pa.int64()),
@@ -3009,9 +2873,7 @@ def dedup_embedding_lsh(sf_dir: str, threshold_micro: int = 400_000,
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     n_rows = ds.count()                    # parquet metadata, no scan
     if n_rows == 0:
-        return rd.from_arrow(pa.table({
-            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-            "sim_micro": pa.array([], pa.int64())}))
+        return rd.from_arrow(_empty_pairs())
     dim = _embedding_dim(sf_dir, ds)
     if strategy == "auto":
         strategy = "ids" if n_rows / (1 << n_planes) <= 8 \
@@ -3037,19 +2899,13 @@ def dedup_embedding_lsh(sf_dir: str, threshold_micro: int = 400_000,
     def bucket_pairs(group: dict) -> dict:
         # numpy batch format: ~10× less per-group overhead than pandas
         # across the n_tables·2^n_planes small groups
-        empty = {"a": np.empty(0, np.int64), "b": np.empty(0, np.int64),
-                 "sim_micro": np.empty(0, np.int64)}
         ids = np.asarray(group["vec_id"], np.int64)
         if len(ids) < 2:
-            return empty
+            return {c: np.empty(0, np.int64) for c in ("a", "b", "sim_micro")}
         # float64 BEFORE normalising: parquet stores float32 and the
         # micro-rounding must match the float64 all-pairs kernel exactly
-        X = np.stack(group["embedding"]).astype(np.float64)
-        Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True),
-                            1e-12)
-        sims = Xn @ Xn.T
-        micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                             sims).astype(np.int64)
+        unit = _cos_normalize(np.stack(group["embedding"]).astype(np.float64))
+        micros = _cos_micros(unit, unit)
         ai, bi = np.triu_indices(len(ids), k=1)
         keep = micros[ai, bi] >= threshold_micro
         ai, bi = ai[keep], bi[keep]
@@ -3088,10 +2944,7 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 3,
     never leaves the cell — no global all-pairs, no full-matrix
     broadcast)."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    C = _kmeans_centroids(
-        ds, k, iters,
-        cache_key=(sf_dir, k, iters, _table_fingerprint(sf_dir)),
-        sf_dir=sf_dir)
+    C = _pq_codebooks(ds, sf_dir, 1, k, iters)[0]
 
     def assign(batch: pa.Table) -> pa.Table:
         X = _emb_micros(batch["embedding"])
@@ -3118,9 +2971,8 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 3,
         # contract of the all-pairs kernel (dedup_embedding_cosine)
         X = _embedding_matrix(group["embedding"])
         order = np.lexsort((vid, cid))
-        cid, vid, X = cid[order], vid[order], X[order]
-        Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True),
-                            1e-12)
+        cid, vid = cid[order], vid[order]
+        Xn, zero = _cos_normalize(X[order])
         drop = np.zeros(len(vid), bool)
         bounds = np.concatenate([
             [0], np.flatnonzero(cid[1:] != cid[:-1]) + 1, [len(cid)]])
@@ -3130,10 +2982,8 @@ def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 3,
         for s, e in zip(bounds[:-1], bounds[1:]):
             if e - s < 2:
                 continue
-            sims = Xn[s:e] @ Xn[s:e].T
-            micros = np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                                 sims).astype(np.int64)
-            hit = micros >= threshold_micro
+            cell = (Xn[s:e], zero[s:e])
+            hit = _cos_micros(cell, cell) >= threshold_micro
             # vec_id ascending within the cell ⇒ "any strictly-lower
             # index hits" == "any lower vec_id hits"
             drop[s:e] = np.tril(hit, -1).any(axis=1)

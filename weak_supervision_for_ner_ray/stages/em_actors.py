@@ -1,17 +1,18 @@
 """Persistent shard actors for the EM loop.
 
-Ray Data has no iterate-until-converged primitive (SURVEY.md §7.4): the
-dataset-based EM relaunches a full pipeline per iteration, paying execution
-barriers + partial collection every pass — measured ~3 s/pass of fixed,
-non-scaling overhead.  For the hot loop we drop to raw Ray actors (the one
-place the Dataset API genuinely can't express the semantics, per the design
-brief): each :class:`EMShard` actor loads its partition of the observation
-table ONCE in ``__init__`` and every EM iteration is a single RPC per actor
-returning a ~2 MB sufficient-statistic partial.
+Ray Data has no iterate-until-converged primitive (SURVEY.md §7.4): an EM
+built on Datasets relaunches a full pipeline per iteration, paying
+execution barriers + partial collection every pass — measured ~3 s/pass
+of fixed, non-scaling overhead.  So the EM loop runs on raw Ray actors
+(the one place the Dataset API genuinely can't express the semantics, per
+the design brief): each :class:`EMShard` actor loads its partition of the
+observation table ONCE in ``__init__`` and every EM iteration is a single
+RPC per actor returning a ~2 MB sufficient-statistic partial.
 
 On a multi-node cluster the shards map to per-node partitions of the obs
-parquet directory; resume still works because the driver loop checkpoints
-parameters after every iteration exactly like the dataset path.
+parquet directory.  The driver loop (``pipelines.train.train_hmm_sharded``)
+checkpoints the parameters after every iteration, which is what resume
+restarts from.
 """
 
 from __future__ import annotations
@@ -301,11 +302,12 @@ class EMShard:
         """One E-step over the shard -> sufficient-statistic partial
         (dedup-weighted).
 
-        Per-turn kernel on purpose: its working set is one (T,77) strip
-        that stays in L2, while the batched ``accumulate_block`` streams
-        (chunk, Tmax, 77) tensors through DRAM — fine on one core, but with
-        32 shard actors it saturates the memory bus and runs ~3× slower
-        end-to-end (measured 37 s vs 11 s per pass at sf0.1/32 cpus)."""
+        Per-turn kernel (``hmm.accumulate_flat``) on purpose: its working
+        set is one (T,77) strip that stays in L2.  A batched kernel that
+        streamed (chunk, Tmax, 77) tensors through DRAM was fine on one
+        core, but with 32 shard actors it saturated the memory bus and ran
+        ~3× slower end-to-end (measured 37 s vs 11 s per pass at sf0.1/32
+        cpus), so it was removed."""
         stats = SuffStats()
         defer_o = np.zeros(hmm.N_STATES)
         # buffer persists across passes (allocated + pre-faulted at load);

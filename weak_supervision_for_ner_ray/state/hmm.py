@@ -327,20 +327,13 @@ def _forward_backward_scaled(ll: np.ndarray, params: HMMParams):
 
 
 def accumulate(obs: TurnObs, params: HMMParams, stats: SuffStats,
-               weight: float = 1.0,
-               defer_o: np.ndarray | None = None) -> None:
-    """Forward-backward on one turn, accumulating into ``stats``.
+               weight: float = 1.0) -> None:
+    """Forward-backward on one turn, accumulating into ``stats`` — the
+    slow reference kernel the flat production kernel is tested against.
 
     ``weight`` scales every contribution — used for exact turn
     deduplication: N identical turns contribute exactly N× the stats of
-    one (every statistic is linear in the per-turn quantities).
-
-    ``defer_o``: optional (77,) accumulator.  The baseline O-column update
-    ``obs[s,:,0] += total_post`` for every kept source touches ~48 strided
-    616-byte rows of the 2.3 MB obs tensor PER TURN — the dominant DRAM
-    traffic of a shard pass.  With ``defer_o`` the caller sums total_post
-    across turns and applies ``stats.obs[keep,:,0] += defer_o`` once per
-    shard (identical result; the statistic is linear)."""
+    one (every statistic is linear in the per-turn quantities)."""
     T = obs.n_tokens
     if T == 0:
         return
@@ -369,11 +362,8 @@ def accumulate(obs: TurnObs, params: HMMParams, stats: SuffStats,
     for (t, s), dist in obs.fired.items():
         if s in keep:
             fired_by_source.setdefault(s, []).append((t, dist))
-    if defer_o is not None:
-        defer_o += total_post
-    else:
-        for s in keep:
-            stats.obs[s, :, 0] += total_post
+    for s in keep:
+        stats.obs[s, :, 0] += total_post
     for s, entries in fired_by_source.items():
         for t, dist in entries:
             stats.obs[s, :, 0] -= post[t]
@@ -576,16 +566,22 @@ class EmisStatsBuffer:
 def accumulate_flat(params: HMMParams, T: int, p_t: np.ndarray,
                     p_s: np.ndarray, p_state: np.ndarray,
                     p_conf: np.ndarray, stats: SuffStats,
-                    weight: float = 1.0,
-                    defer_o: np.ndarray | None = None,
-                    emis_buf: "EmisStatsBuffer | None" = None) -> None:
+                    weight: float = 1.0, *, defer_o: np.ndarray,
+                    emis_buf: "EmisStatsBuffer") -> None:
     """:func:`accumulate` over flat pair arrays — identical statistics,
     no per-turn dict construction, vectorised emission updates, and
-    O-run compression of the forward-backward recursion.
+    O-run compression of the forward-backward recursion.  The E-step
+    kernel production runs.
 
-    ``emis_buf``: optional :class:`EmisStatsBuffer`; when given, the
-    fired-pair emission updates are buffered there (caller must
-    ``apply``) instead of scattered into ``stats.obs`` per turn."""
+    The emission statistics are deferred to the caller, who must fold
+    them in once per pass (identical result; every statistic is linear):
+
+    * ``defer_o`` (77,) sums each turn's total posterior; the caller adds
+      ``stats.obs[keep, :, 0] += defer_o``.  Doing that per turn touched
+      ~48 strided 616-byte rows of the 2.3 MB obs tensor PER TURN — the
+      dominant DRAM traffic of a shard pass.
+    * ``emis_buf`` buffers the fired-pair updates; the caller calls its
+      :meth:`EmisStatsBuffer.apply`."""
     if T == 0:
         return
     a00 = float(params.transmat[0, 0])
@@ -613,23 +609,12 @@ def accumulate_flat(params: HMMParams, T: int, p_t: np.ndarray,
     total_post = post.sum(axis=0)
     if n_removed:
         total_post[0] += weight * n_removed
-    if defer_o is not None:
-        defer_o += total_post
-    else:
-        for s in params.keep:
-            stats.obs[s, :, 0] += total_post
+    defer_o += total_post
     if len(g_t):
         # conf-weighted add per pair: obs[s, :, state] += conf * post[t],
         # minus the baseline column once per fired (t, source) group
         CP = p_conf[:, None] * post[p_t]                 # (n_pairs, 77)
-        if emis_buf is not None:
-            emis_buf.add(g_s, post[g_t], p_s * N_STATES + p_state, CP)
-        else:
-            np.subtract.at(stats.obs[:, :, 0], g_s, post[g_t])
-            flat = stats.obs.reshape(N_SOURCES, N_STATES * N_STATES)
-            cols = np.arange(N_STATES)[None, :] * N_STATES \
-                + p_state[:, None]
-            np.add.at(flat, (p_s[:, None], cols), CP)
+        emis_buf.add(g_s, post[g_t], p_s * N_STATES + p_state, CP)
 
 
 def decode_turn_flat(params: HMMParams, T: int, p_t: np.ndarray,
@@ -661,243 +646,6 @@ def decode_turn_flat(params: HMMParams, T: int, p_t: np.ndarray,
         spans = [(int(kept_pos[s]), int(kept_pos[e - 1]) + 1, lab, c)
                  for s, e, lab, c in spans]
     return spans
-
-
-def accumulate_block(params: HMMParams, n_tokens: np.ndarray,
-                     offsets: np.ndarray, o_t: np.ndarray, o_s: np.ndarray,
-                     o_state: np.ndarray, o_conf: np.ndarray,
-                     stats: SuffStats, chunk: int = 512,
-                     weights: np.ndarray | None = None) -> None:
-    """Batched E-step over a whole block of turns (flat observation arrays).
-
-    ``weights`` (per-turn multiplicities) scale each turn's contribution —
-    the exact-dedup path: N identical turns cost one recursion.
-
-    Mathematically identical to per-turn :func:`accumulate` (same scaled
-    recursions, batched over N turns with padding masks).  Multi-label
-    (t, source) observations are handled vectorised: pairs are grouped by
-    (turn, t, source) and duplicate groups get the exact mixture correction
-    ``log(Σ_i conf_i · P(state_i | ·))`` via a segment-sum, so no turn ever
-    falls back to the per-turn path (the fallback used to claim ~37% of
-    real-corpus turns and dominated the wall time).
-    One (N,77)x(77,77) matmul per time step replaces N tiny per-turn steps.
-    """
-    N = len(n_tokens)
-    if N == 0:
-        return
-    keep_mask = np.zeros(N_SOURCES, bool)
-    keep_mask[params.keep] = True
-    n_keep = int(keep_mask.sum())
-    A = params.transmat
-
-    n_tokens = np.asarray(n_tokens, np.int64)
-    offsets = np.asarray(offsets, np.int64)
-    pair_turn_all = np.repeat(np.arange(N), np.diff(offsets))
-
-    # length-bucketing: process turns in ascending-length order so each
-    # chunk's padding (Tmax - len) is small — without it the longest turn
-    # in a chunk dominates the tensor shapes
-    order_by_len = np.argsort(n_tokens, kind="stable")
-    inv = np.empty(N, np.int64)
-    inv[order_by_len] = np.arange(N)
-    new_turn_of_pair = inv[pair_turn_all]
-    pair_sort = np.argsort(new_turn_of_pair, kind="stable")
-    pt_sorted = {
-        "turn": new_turn_of_pair[pair_sort],
-        "t": o_t[pair_sort].astype(np.int64),
-        "s": o_s[pair_sort].astype(np.int64),
-        "state": o_state[pair_sort].astype(np.int64),
-        "conf": o_conf[pair_sort].astype(np.float64),
-    }
-    lens_sorted = n_tokens[order_by_len]
-    wts_sorted = None if weights is None \
-        else np.asarray(weights, np.float64)[order_by_len]
-    # offsets of sorted pairs per sorted turn
-    counts_sorted = np.diff(offsets)[order_by_len]
-    offs_sorted = np.concatenate([[0], np.cumsum(counts_sorted)])
-
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        idx = slice(offs_sorted[lo], offs_sorted[hi])
-        p_turn = pt_sorted["turn"][idx] - lo
-        p_t = pt_sorted["t"][idx]
-        p_s = pt_sorted["s"][idx]
-        p_state = pt_sorted["state"][idx]
-        p_conf = pt_sorted["conf"][idx]
-        lens = lens_sorted[lo:hi]
-        n = hi - lo
-
-        # drop pairs from non-kept sources — but keep the unfiltered
-        # (turn, t, state) triples for the observed-state mask, which the
-        # reference computes over ALL sources (labelling.py:443-445)
-        u_turn, u_t, u_state = p_turn, p_t, p_state
-        km = keep_mask[p_s]
-        p_turn, p_t, p_s, p_state, p_conf = (
-            p_turn[km], p_t[km], p_s[km], p_state[km], p_conf[km])
-
-        act_turns = np.where(lens > 0)[0]
-        if len(act_turns) == 0:
-            continue
-        remap = -np.ones(n, np.int64)
-        remap[act_turns] = np.arange(len(act_turns))
-        m_ = len(act_turns)
-        lens_c = lens[act_turns]
-        Tmax = int(lens_c.max())
-
-        pr = remap[p_turn]
-        ok = pr >= 0
-        pr, pt, ps, pst, pc = pr[ok], p_t[ok], p_s[ok], p_state[ok], \
-            p_conf[ok]
-
-        # group pairs by (turn, t, source): one ll-correction per group —
-        # singleton groups use the precomputed log-emission table; chunks
-        # containing multi-label groups take the exact mixture correction
-        # log(Σ_i conf_i · P(state_i | ·)) via a sorted segment-sum
-        # (frame_log_likelihood's multi-label branch, vectorised)
-        key_ts = (pr * (Tmax + 1) + pt) * N_SOURCES + ps
-        order = np.argsort(key_ts, kind="stable")
-        k_srt = key_ts[order]
-        first = np.r_[True, np.diff(k_srt) > 0] if len(k_srt) \
-            else np.empty(0, bool)
-        rep = order[first]
-        g_turn, g_t, g_s = pr[rep], pt[rep], ps[rep]
-
-        # -- frame log-likelihood tensor (m_, Tmax, 77) -------------------
-        ll = np.broadcast_to(params.base_loglik,
-                             (m_, Tmax, N_STATES)).copy()
-        if len(rep):
-            if len(rep) == len(pr):       # no multi-label groups
-                with np.errstate(divide="ignore"):
-                    corr_g = params.log_emis2d[ps * N_STATES + pst] \
-                        + np.log(pc)[:, None] - params.log_emisO[ps]
-                np.add.at(ll, (pr, pt), corr_g)
-            else:
-                emis_cols = params.emission_probs.transpose(0, 2, 1) \
-                    .reshape(N_SOURCES * N_STATES, N_STATES)
-                P = emis_cols[ps[order] * N_STATES + pst[order]] \
-                    * pc[order][:, None]              # (n_pairs, 77)
-                starts = np.flatnonzero(first)
-                mix = np.add.reduceat(P, starts, axis=0)   # (n_groups, 77)
-                corr_g = np.full_like(mix, _NINF)
-                np.log(mix, out=corr_g, where=mix > 0)
-                corr_g -= params.log_emisO[g_s]
-                np.add.at(ll, (g_turn, g_t), corr_g)
-
-        observed = np.zeros((m_, Tmax, N_STATES), bool)
-        observed[:, :, 0] = True
-        ur = remap[u_turn]
-        uok = ur >= 0
-        observed[ur[uok], u_t[uok], u_state[uok]] = True
-        # O-mask only with the full source set — see frame_log_likelihood:
-        # with a keep subset the reference never masks state O.  Fired
-        # count = number of distinct (t, source) groups, not raw pairs.
-        if n_keep == N_SOURCES and len(rep):
-            fired_counts = np.zeros((m_, Tmax), np.int64)
-            np.add.at(fired_counts, (g_turn, g_t), 1)
-            observed[:, :, 0] &= fired_counts < n_keep
-        ll[~observed] = _NINF
-
-        # padding: beyond each turn's length force state O with ll = 0 so
-        # padded steps multiply by exactly 1 in the recursion
-        t_grid = np.arange(Tmax)[None, :]
-        valid = t_grid < lens_c[:, None]
-
-        mx = np.max(ll, axis=2)
-        mx[~np.isfinite(mx)] = 0.0
-        with np.errstate(under="ignore"):
-            Bs = np.exp(ll - mx[:, :, None])
-        # padded steps: uniform 1 so alpha passes through unchanged modulo
-        # the transition mix — instead freeze alpha explicitly below
-        alpha = np.empty_like(Bs)
-        c = np.ones((m_, Tmax))
-        a0 = params.startprob[None, :] * Bs[:, 0, :]
-        c0 = a0.sum(axis=1)
-        bad = c0 <= 0
-        c0[bad] = 1.0
-        alpha[:, 0, :] = a0 / c0[:, None]
-        c[:, 0] = c0
-        for t in range(1, Tmax):
-            act = valid[:, t] & ~bad
-            a_new = (alpha[:, t - 1, :] @ A) * Bs[:, t, :]
-            ct = a_new.sum(axis=1)
-            zero = ct <= 0
-            bad |= zero & valid[:, t]
-            ct[ct <= 0] = 1.0
-            alpha[:, t, :] = np.where(act[:, None],
-                                      a_new / ct[:, None],
-                                      alpha[:, t - 1, :])
-            c[:, t] = np.where(act, ct, 1.0)
-
-        beta = np.empty_like(Bs)
-        beta[:, Tmax - 1, :] = 1.0
-        for t in range(Tmax - 2, -1, -1):
-            act = valid[:, t + 1]
-            b_new = (Bs[:, t + 1, :] * beta[:, t + 1, :]) @ A.T \
-                / c[:, t + 1][:, None]
-            beta[:, t, :] = np.where(act[:, None], b_new,
-                                     beta[:, t + 1, :])
-
-        good = ~bad
-        if not good.any():
-            continue
-        with np.errstate(divide="ignore"):
-            logc = np.where(valid, np.log(c) + mx, 0.0)
-        logprob_per = logc.sum(axis=1)
-
-        post = alpha * beta
-        psum = post.sum(axis=2, keepdims=True)
-        psum[psum <= 0] = 1.0
-        post = post / psum
-        post[~valid] = 0.0
-        post[~good] = 0.0
-
-        wt = None if wts_sorted is None else wts_sorted[lo:hi][act_turns]
-        if wt is None:
-            stats.logprob += float(logprob_per[good].sum())
-            stats.n_seqs += int(good.sum())
-        else:
-            stats.logprob += float((logprob_per * wt)[good].sum())
-            stats.n_seqs += int(wt[good].sum())
-            # every linear-in-post statistic picks up the multiplicity
-            post *= wt[:, None, None]
-        stats.start += post[:, 0, :][good].sum(axis=0)
-
-        # transitions: xi summed = A * sum_{n,t} alpha[n,t]^T w[n,t+1]
-        w = Bs[:, 1:, :] * beta[:, 1:, :] / c[:, 1:, None]
-        w = np.where((valid[:, 1:] & good[:, None])[:, :, None], w, 0.0)
-        al = np.where((valid[:, :-1] & good[:, None])[:, :, None],
-                      alpha[:, :-1, :], 0.0)
-        if wt is not None:
-            al = al * wt[:, None, None]
-        stats.trans += A * np.einsum("nti,ntj->ij", al, w)
-
-        # emission stats
-        total_post = post.sum(axis=(0, 1))          # (77,)
-        stats.obs[params.keep, :, 0] += total_post[None, :]
-        if len(pr):
-            pair_good = good[pr]
-            P = post[pr, pt]                         # (n_pairs, 77)
-            P = np.where(pair_good[:, None], P, 0.0)
-            # subtract the O column once per fired (turn, t, source) GROUP
-            # (accumulate subtracts post[t] once per fired entry, not once
-            # per label of a multi-label observation)
-            Pg = post[g_turn, g_t]
-            Pg = np.where(good[g_turn][:, None], Pg, 0.0)
-            gorder = np.argsort(g_s, kind="stable")
-            s_sorted = g_s[gorder]
-            Pg_sorted = Pg[gorder]
-            starts = np.flatnonzero(np.r_[True, np.diff(s_sorted) > 0])
-            sums = np.add.reduceat(Pg_sorted, starts, axis=0)
-            stats.obs[s_sorted[starts], :, 0] -= sums
-            # conf-weighted add per pair ((turn, t, s, state) is unique)
-            key = ps * N_STATES + pst
-            order2 = np.argsort(key, kind="stable")
-            k_sorted = key[order2]
-            CP = (pc[:, None] * P)[order2]
-            starts2 = np.flatnonzero(np.r_[True, np.diff(k_sorted) > 0])
-            sums2 = np.add.reduceat(CP, starts2, axis=0)
-            ks = k_sorted[starts2]
-            stats.obs[ks // N_STATES, :, ks % N_STATES] += sums2
 
 
 # ---------------------------------------------------------------------------
