@@ -1,14 +1,19 @@
-"""EMShard dedup + batched-kernel parity vs the sequential per-turn path."""
+"""EM shard tasks: dedup + kernel parity vs the sequential per-turn path,
+streaming mode, pass identity, worker loss and no actors."""
 
 import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
+import ray.data as rd
 
-from weak_supervision_for_ner_ray.stages.em_actors import (EMShard,
+from weak_supervision_for_ner_ray.stages.em_actors import (make_shards,
                                                            shard_estep,
                                                            shard_init_counts)
 from weak_supervision_for_ner_ray.stages.encode import ObsRows
@@ -17,13 +22,13 @@ from weak_supervision_for_ner_ray.state.hmm import (SuffStats,
                                                     init_params_from_counts)
 
 
-def _obs_table(seed=7, n_turns=60, dup_every=3):
+def _obs_table(seed=7, n_turns=60, dup_every=3, max_tokens=12):
     """Flat observation table with heavy duplication and multi-label pairs."""
     rng = np.random.default_rng(seed)
     rows = {"n_tokens": [], "o_t": [], "o_s": [], "o_state": [], "o_conf": []}
     patterns = []
     for _ in range(max(2, n_turns // dup_every)):
-        T = int(rng.integers(2, 12))
+        T = int(rng.integers(2, max_tokens))
         n_pairs = int(rng.integers(1, 8))
         t = rng.integers(0, T, n_pairs)
         s = rng.integers(0, hmm.N_SOURCES, n_pairs)
@@ -70,7 +75,7 @@ def test_emshard_dedup_estep_parity(ray_session, tmp_path):
     pq.write_table(tbl, f)
     p = _params()
 
-    shard = EMShard.remote([(f, None)])
+    [shard] = make_shards([f], 1)
     assert ray.get(shard.n_turns.remote()) == tbl.num_rows
 
     got = shard_estep([shard], p)
@@ -85,7 +90,6 @@ def test_emshard_dedup_estep_parity(ray_session, tmp_path):
     assert np.abs(got.start - exp.start).max() < 1e-8
     assert np.abs(got.trans - exp.trans).max() < 1e-7
     assert np.abs(got.obs - exp.obs).max() < 1e-7
-    ray.kill(shard)
 
 
 def test_emshard_dedup_init_counts_parity(ray_session, tmp_path):
@@ -95,8 +99,7 @@ def test_emshard_dedup_init_counts_parity(ray_session, tmp_path):
     tbl = _obs_table(seed=11)
     f = str(tmp_path / "obs.parquet")
     pq.write_table(tbl, f)
-    shard = EMShard.remote([(f, None)])
-    init, trans, obs = shard_init_counts([shard])
+    init, trans, obs = shard_init_counts(make_shards([f], 1))
 
     K, S = hmm.N_STATES, hmm.N_SOURCES
     einit = np.zeros(K)
@@ -119,7 +122,6 @@ def test_emshard_dedup_init_counts_parity(ray_session, tmp_path):
     assert np.abs(init - einit).max() < 1e-9
     assert np.abs(trans - etrans).max() < 1e-9
     assert np.abs(obs - eobs).max() < 1e-9
-    ray.kill(shard)
 
 
 def test_weighted_accumulate_equals_repeated():
@@ -137,16 +139,18 @@ def test_weighted_accumulate_equals_repeated():
     assert np.abs(s_rep.trans - s_w.trans).max() < 1e-9
 
 
-def test_emshard_streaming_mode_parity(ray_session, tmp_path):
+def test_emshard_streaming_mode_parity(ray_session, tmp_path, monkeypatch):
     """A shard over budget streams row groups per pass and produces the
-    identical partial as the resident path."""
+    identical partial as the whole-shard path."""
     tbl = _obs_table(seed=21, n_turns=80)
     f = str(tmp_path / "obs.parquet")
     pq.write_table(tbl, f, row_group_size=16)
     p = _params()
 
-    resident = EMShard.remote([(f, None)], None)
-    streaming = EMShard.remote([(f, None)], 1)     # 1 byte -> must stream
+    [resident] = make_shards([f], 1)
+    monkeypatch.setenv("GRAFT_EM_SHARD_MAX_BYTES", "1")   # must stream
+    [streaming] = make_shards([f], 1)
+    assert not resident.streaming and streaming.streaming
     assert ray.get(streaming.n_turns.remote()) == tbl.num_rows
 
     a = shard_estep([resident], p)
@@ -160,47 +164,29 @@ def test_emshard_streaming_mode_parity(ray_session, tmp_path):
     ib = shard_init_counts([streaming])
     for x, y in zip(ia, ib):
         assert np.abs(x - y).max() < 1e-9
-    ray.kill(resident)
-    ray.kill(streaming)
 
 
 def test_emshard_repeated_estep_identical(ray_session, tmp_path):
-    """The persistent per-actor EmisStatsBuffer must not leak state across
-    passes: repeated esteps with the same params are bit-identical, and a
-    pass after a different-params pass matches a fresh actor's result."""
+    """No state leaks across passes: repeated esteps with the same params
+    are bit-identical, and a pass after a different-params pass matches a
+    freshly cut shard's result."""
     tbl = _obs_table(seed=23)
     f = str(tmp_path / "obs.parquet")
     pq.write_table(tbl, f)
     p1 = _params(seed=3)
     p2 = _params(seed=4)
 
-    shard = EMShard.remote([(f, None)])
-    a = shard_estep([shard], p1)
-    _ = shard_estep([shard], p2)       # interleave different params
-    b = shard_estep([shard], p1)
-    fresh = EMShard.remote([(f, None)])
-    c = shard_estep([fresh], p1)
+    shards = make_shards([f], 1)
+    a = shard_estep(shards, p1)
+    _ = shard_estep(shards, p2)        # interleave different params
+    b = shard_estep(shards, p1)
+    c = shard_estep(make_shards([f], 1), p1)
     for x in (b, c):
         assert x.n_seqs == a.n_seqs
         assert abs(x.logprob - a.logprob) < 1e-12
         assert np.abs(x.obs - a.obs).max() == 0.0
         assert np.abs(x.trans - a.trans).max() == 0.0
         assert np.abs(x.start - a.start).max() == 0.0
-    ray.kill(shard)
-    ray.kill(fresh)
-
-
-def test_emis_buffer_reset_discards_buffered_rows():
-    buf = hmm.EmisStatsBuffer()
-    g_s = np.array([0], np.int64)
-    post_g = np.ones((1, hmm.N_STATES))
-    keys = np.array([0], np.int64)
-    cp = np.ones((1, hmm.N_STATES))
-    buf.add(g_s, post_g, keys, cp)
-    buf.reset()
-    st = SuffStats()
-    buf.apply(st)
-    assert np.abs(st.obs).max() == 0.0
 
 
 def test_dedup_rows_verifies_content_on_fp_collision():
@@ -237,3 +223,63 @@ def test_dedup_rows_matches_unique_when_no_collision():
                                     return_counts=True)
     assert idx.tolist() == exp_idx.tolist()
     assert cnt.tolist() == exp_cnt.tolist()
+
+
+def _worker_titled(title: bytes):
+    """PID of the process whose title (``/proc/<pid>/cmdline``) starts
+    with ``title``, or None."""
+    for d in os.listdir("/proc"):
+        if not d.isdigit():
+            continue
+        try:
+            with open(f"/proc/{d}/cmdline", "rb") as fd:
+                if fd.read().startswith(title):
+                    return int(d)
+        except OSError:
+            continue
+    return None
+
+
+def test_estep_survives_worker_loss(ray_session, tmp_path):
+    """SIGKILL the worker running an E-step task mid-pass: Ray retries the
+    task, and the retried partial is bit-identical to an uninterrupted
+    pass."""
+    tbl = _obs_table(seed=31, n_turns=4000, dup_every=1, max_tokens=60)
+    f = str(tmp_path / "obs.parquet")
+    pq.write_table(tbl, f)
+    p = _params()
+    shards = make_shards([f], 1)
+    want = shard_estep(shards, p).to_arrays()
+
+    title = b"ray::_estep_partial"      # a worker's title while it runs it
+    with ThreadPoolExecutor(1) as pool:
+        run = pool.submit(shard_estep, shards, p)
+        pid = None
+        deadline = time.monotonic() + 60
+        while pid is None and not run.done() and time.monotonic() < deadline:
+            pid = _worker_titled(title)
+            time.sleep(0.005)
+        assert pid is not None, "no running E-step task found to kill"
+        os.kill(pid, signal.SIGKILL)
+        got = run.result(timeout=300).to_arrays()
+    assert not os.path.exists(f"/proc/{pid}")
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_train_starts_no_actor(ray_session, small_corpus, tmp_path):
+    """Training runs on the default worker pool: it leaves the cluster's
+    actor table as it found it."""
+    from ray._private import state
+
+    from weak_supervision_for_ner_ray.pipelines.kg import write_obs
+    from weak_supervision_for_ner_ray.pipelines.train import (
+        train_hmm_sharded)
+
+    turns, _, _ = small_corpus
+    wd = str(tmp_path)
+    obs_dir = write_obs(rd.from_arrow(turns), wd)
+    before = len(state.actors())
+    train_hmm_sharded(obs_dir, wd, n_iter=2, seed=7)
+    assert len(state.actors()) == before

@@ -217,8 +217,8 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     # caller consumes the annotated corpus
     annotated = rd.read_parquet(obs_dir, override_num_blocks=nblocks)
 
-    # EM runs on persistent shard actors: obs loaded once, one RPC per
-    # shard per iteration (no per-pass dataset execution overhead)
+    # EM runs as one stateless task per obs shard per pass on the default
+    # worker pool (no per-pass dataset execution overhead, no actors)
     params = train_hmm_sharded(obs_dir, workdir, n_iter=n_iter, seed=seed)
     # the outputs below are stamped with the params they were decoded
     # with: a rerun that trains further rewrites them instead of reusing

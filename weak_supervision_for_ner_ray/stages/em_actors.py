@@ -1,23 +1,36 @@
-"""Persistent shard actors for the EM loop.
+"""The EM shards: stateless Ray tasks on the default worker pool.
 
 Ray Data has no iterate-until-converged primitive (SURVEY.md §7.4): an EM
 built on Datasets relaunches a full pipeline per iteration, paying
 execution barriers + partial collection every pass — measured ~3 s/pass
-of fixed, non-scaling overhead.  So the EM loop runs on raw Ray actors
-(the one place the Dataset API genuinely can't express the semantics, per
-the design brief): each :class:`EMShard` actor loads its partition of the
-observation table ONCE in ``__init__`` and every EM iteration is a single
-RPC per actor returning a ~2 MB sufficient-statistic partial.
+of fixed, non-scaling overhead.  So the EM loop runs on raw Ray tasks:
+:func:`make_shards` cuts the observation table into cost-balanced
+:class:`EMShard` specs (row-group runs), and every pass
+(:func:`shard_init_counts`, :func:`shard_estep`) is one task per shard
+that re-reads and dedups its row groups and returns a ~2 MB
+sufficient-statistic partial.  The driver merges the partials in shard
+order, so the result does not depend on which worker ran which task.
 
-On a multi-node cluster the shards map to per-node partitions of the obs
-parquet directory.  The driver loop (``pipelines.train.train_hmm_sharded``)
-checkpoints the parameters after every iteration, which is what resume
-restarts from.
+A task holds no state between passes, so a build starts no actor process
+and a worker lost mid-pass only costs Ray's retry of that task.  The
+re-read is cheap next to the pass (measured on a 1-CPU VM on the
+perfbench corpora: 11-20 ms of re-read + dedup against 0.6-1.0 s for one
+E-step pass), so no per-worker shard cache is kept.
+
+The driver loop (``pipelines.train.train_hmm_sharded``) checkpoints the
+parameters after every iteration, which is what resume restarts from.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
+import os
+import types
+from dataclasses import dataclass
+
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
@@ -87,315 +100,247 @@ def _take_rows(rows: ObsRows, idx: np.ndarray) -> ObsRows:
     return out
 
 
-@ray.remote
+@dataclass(frozen=True)
 class EMShard:
-    """Holds one shard of the observation table as flat numpy arrays.
+    """One shard of the observation table: a contiguous run of
+    ``(file, row_group_indices)`` units, its row count and its mode.
 
-    On load the shard deduplicates *identical observation patterns*
-    (same token count, same flat (t, source, state, conf) pairs): every
-    E-step statistic is linear per turn, so N identical turns contribute
-    exactly N× the stats of one.  Conversational corpora repeat formulaic
-    turns heavily (measured 3.8× at sf0.01), so this cuts the per-pass
-    compute 2-4× with bit-identical results."""
+    Every pass re-reads the units and deduplicates *identical observation
+    patterns* (same token count, same flat (t, source, state, conf)
+    pairs): every E-step statistic is linear per turn, so N identical
+    turns contribute exactly N× the stats of one.  Conversational corpora
+    repeat formulaic turns heavily (measured 3.8× at sf0.01), so this cuts
+    the per-pass compute 2-4× with bit-identical results.
 
-    def __init__(self, units: list, max_bytes: int | None = None):
-        """``units``: list of (file, row_group_indices | None) — None
-        reads the whole file.
+    ``streaming``: the parquet metadata put the shard above the memory
+    budget (``GRAFT_EM_SHARD_MAX_BYTES``), so a pass reads and dedups one
+    row group at a time instead of the whole shard at once."""
 
-        ``max_bytes``: in-memory budget for the resident (deduped) shard.
-        When the parquet metadata estimates the shard above budget, the
-        shard runs in STREAMING mode: nothing is held resident and every
-        ``estep``/``init_stats`` call re-reads + re-dedups one row group at
-        a time — a per-pass IO/dedup cost traded for bounded actor memory
-        (the large-scale fallback; selection is automatic and logged)."""
-        self.units = units
-        self.rows = None
-        self.weights = None
-        self.streaming = False
-        self.n_raw = 0
-        est = 0
-        for f, rgs in units:
-            md = pq.ParquetFile(f).metadata
-            idx = range(md.num_row_groups) if rgs is None else rgs
-            for rg in idx:
-                est += md.row_group(rg).total_byte_size
-                self.n_raw += md.row_group(rg).num_rows
-        if max_bytes is not None and est > max_bytes:
-            import logging
-            logging.getLogger(__name__).warning(
-                "EMShard: estimated %.0f MB exceeds budget %.0f MB -> "
-                "streaming mode (per-pass re-read)",
-                est / 1e6, max_bytes / 1e6)
-            self.streaming = True
-            return
-        batch = self._read_units(units)
-        if batch is None:
-            return
-        fp = batch.column("obs_fp").to_numpy(zero_copy_only=False)
-        rows = ObsRows(batch)
-        self.n_raw = len(rows)
-        uniq_idx, counts = _dedup_rows(fp, rows)
-        if len(uniq_idx) < len(rows):
-            self.rows = _take_rows(rows, uniq_idx)
-            self.weights = counts.astype(np.float64)
-        else:
-            self.rows = rows
-            self.weights = None
-        self._warm_buffers()
+    units: tuple[tuple[str, tuple[int, ...]], ...]
+    n_raw: int
+    streaming: bool
 
-    def _warm_buffers(self):
-        """Allocate the per-pass accumulators ONCE, touch their pages and
-        exercise the E-step kernel on a tiny synthetic turn.
+    @property
+    def n_turns(self):
+        """``shard.n_turns.remote()`` -> ObjectRef of the shard's row count
+        (from parquet metadata; the call shape ``perfbench/spans.py``
+        uses)."""
+        return types.SimpleNamespace(
+            remote=functools.partial(ray.put, self.n_raw))
 
-        First-call cost (numpy ufunc-loop setup, allocator arena growth,
-        page-zeroing of the ~45 MB of accumulator/flush buffers) is paid
-        here, during the I/O-bound load phase, instead of inside the first
-        timed E-step pass — measured ~2× estep_1 vs estep_2 before this
-        (the fault-in of 64 actors' fresh pages serialises on the memory
-        bus when every actor hits it in the same pass)."""
-        self._emis_buf = hmm.EmisStatsBuffer()
-        self._emis_buf._acc.fill(0.0)       # fault the pages in now
-        self._emis_buf._acc_sub.fill(0.0)
-        # convert the flat pair arrays to kernel dtypes ONCE — estep used
-        # to astype-copy every column every pass
-        if self.rows is not None:
-            c = self.rows.cols
-            c["o_t"] = np.ascontiguousarray(c["o_t"], np.int64)
-            c["o_s"] = np.ascontiguousarray(c["o_s"], np.int64)
-            c["o_state"] = np.ascontiguousarray(c["o_state"], np.int64)
-            c["o_conf"] = np.ascontiguousarray(c["o_conf"], np.float64)
-        try:
-            S, K = hmm.N_SOURCES, hmm.N_STATES
-            p = hmm.init_params_from_counts(
-                np.ones(K), np.ones((K, K)), np.ones((S, K)))
-            st = SuffStats()
-            t = np.array([0, 1], np.int64)
-            s = np.array([0, BEST_COVERAGE_INDEX], np.int64)
-            k = np.array([1, 2], np.int64)
-            c = np.array([0.9, 0.8], np.float64)
-            hmm.accumulate_flat(p, 64, t, s, k, c, st, defer_o=np.zeros(K),
-                                emis_buf=self._emis_buf)
-            self._emis_buf.apply(st)
-        except Exception:
-            pass
 
-    @staticmethod
-    def _read_units(units: list):
-        import pyarrow as pa
-        tables = []
-        for f, rgs in units:
-            pf = pq.ParquetFile(f)
-            if rgs is None:
-                tables.append(pf.read(columns=_OBS_COLS))
-            else:
-                tables.append(pf.read_row_groups(list(rgs),
-                                                 columns=_OBS_COLS))
-        return pa.concat_tables(tables) if tables else None
+def _deduped(batch: pa.Table):
+    """(rows, weights) of one table: weights None when nothing repeats."""
+    fp = batch.column("obs_fp").to_numpy(zero_copy_only=False)
+    rows = ObsRows(batch)
+    uniq_idx, counts = _dedup_rows(fp, rows)
+    if len(uniq_idx) < len(rows):
+        return _take_rows(rows, uniq_idx), counts.astype(np.float64)
+    return rows, None
 
-    def _iter_deduped(self):
-        """Yield (rows, weights) chunks — the resident shard in one chunk,
-        or per-row-group chunks in streaming mode."""
-        if not self.streaming:
-            if self.rows is not None:
-                yield self.rows, self.weights
-            return
-        for f, rgs in self.units:
-            pf = pq.ParquetFile(f)
-            idx = range(pf.metadata.num_row_groups) if rgs is None else rgs
-            for rg in idx:
-                batch = pf.read_row_groups([rg], columns=_OBS_COLS)
-                fp = batch.column("obs_fp").to_numpy(zero_copy_only=False)
-                rows = ObsRows(batch)
-                uniq_idx, counts = _dedup_rows(fp, rows)
-                if len(uniq_idx) < len(rows):
-                    yield _take_rows(rows, uniq_idx), \
-                        counts.astype(np.float64)
-                else:
-                    yield rows, None
 
-    def n_turns(self) -> int:
-        return getattr(self, "n_raw", 0)
+def _iter_deduped(shard: EMShard):
+    """Yield (rows, weights) chunks — the whole shard in one chunk, or one
+    chunk per row group in streaming mode."""
+    if not shard.streaming:
+        yield _deduped(pa.concat_tables(
+            [pq.ParquetFile(f).read_row_groups(list(rgs), columns=_OBS_COLS)
+             for f, rgs in shard.units]))
+        return
+    for f, rgs in shard.units:
+        pf = pq.ParquetFile(f)
+        for rg in rgs:
+            yield _deduped(pf.read_row_groups([rg], columns=_OBS_COLS))
 
-    def init_stats(self):
-        """Prior-count partials (labelling.py:314-373), dedup-weighted —
-        fully vectorised over the flat pair arrays (no per-turn dicts):
 
-        * init/trans counts come from the best-coverage source's per-token
-          argmax-state sequence (conf desc, state asc tiebreak, zero-conf
-          entries lose to state O — ``obs_argmax_states`` semantics);
-        * obs counts: every source's O column gets the token mass, each
-          fired (t, source) group moves one unit of O mass to its states."""
-        S, K = hmm.N_SOURCES, hmm.N_STATES
-        init_counts = np.zeros(K)
-        trans_counts = np.zeros((K, K))
-        obs_counts = np.zeros((S, K))
-        for rows, weights in self._iter_deduped():
-            n = len(rows)
-            if n == 0:
-                continue
-            w = np.ones(n) if weights is None else weights
-            nt = np.asarray(rows.n_tokens, np.int64)
-            counts = np.diff(rows.offsets)
-            pair_turn = np.repeat(np.arange(n), counts)
-            o_t = np.asarray(rows.cols["o_t"], np.int64)
-            o_s = np.asarray(rows.cols["o_s"], np.int64)
-            o_state = np.asarray(rows.cols["o_state"], np.int64)
-            o_conf = np.asarray(rows.cols["o_conf"], np.float64)
+@ray.remote
+def _init_partial(shard: EMShard):
+    """Prior-count partials (labelling.py:314-373), dedup-weighted —
+    fully vectorised over the flat pair arrays (no per-turn dicts):
 
-            # normalise: sort pairs by (turn, t, source, state) and merge
-            # duplicate (turn, t, source, state) confs — the encoder
-            # already emits this form, but the kernel must not depend on it
-            if len(o_t):
-                order = np.lexsort((o_state, o_s, o_t, pair_turn))
-                pair_turn, o_t, o_s, o_state, o_conf = (
-                    pair_turn[order], o_t[order], o_s[order],
-                    o_state[order], o_conf[order])
-                dup = ((pair_turn[1:] == pair_turn[:-1])
-                       & (o_t[1:] == o_t[:-1]) & (o_s[1:] == o_s[:-1])
-                       & (o_state[1:] == o_state[:-1]))
-                if dup.any():
-                    heads = np.flatnonzero(np.r_[True, ~dup])
-                    o_conf = np.add.reduceat(o_conf, heads)
-                    pair_turn, o_t, o_s, o_state = (
-                        pair_turn[heads], o_t[heads], o_s[heads],
-                        o_state[heads])
-            pw = w[pair_turn]
+    * init/trans counts come from the best-coverage source's per-token
+      argmax-state sequence (conf desc, state asc tiebreak, zero-conf
+      entries lose to state O — ``obs_argmax_states`` semantics);
+    * obs counts: every source's O column gets the token mass, each
+      fired (t, source) group moves one unit of O mass to its states."""
+    S, K = hmm.N_SOURCES, hmm.N_STATES
+    init_counts = np.zeros(K)
+    trans_counts = np.zeros((K, K))
+    obs_counts = np.zeros((S, K))
+    for rows, weights in _iter_deduped(shard):
+        n = len(rows)
+        if n == 0:
+            continue
+        w = np.ones(n) if weights is None else weights
+        nt = np.asarray(rows.n_tokens, np.int64)
+        counts = np.diff(rows.offsets)
+        pair_turn = np.repeat(np.arange(n), counts)
+        o_t = np.asarray(rows.cols["o_t"], np.int64)
+        o_s = np.asarray(rows.cols["o_s"], np.int64)
+        o_state = np.asarray(rows.cols["o_state"], np.int64)
+        o_conf = np.asarray(rows.cols["o_conf"], np.float64)
 
-            # obs counts -------------------------------------------------
-            obs_counts[:, 0] += float((nt * w).sum())
-            if len(o_t):
-                # one O-mass subtraction per distinct (turn, t, source)
-                # group (duplicates adjacent after the sort above)
-                first = np.empty(len(o_t), bool)
-                first[0] = True
-                first[1:] = ((pair_turn[1:] != pair_turn[:-1])
-                             | (o_t[1:] != o_t[:-1])
-                             | (o_s[1:] != o_s[:-1]))
-                np.add.at(obs_counts[:, 0], o_s[first], -pw[first])
-                np.add.at(obs_counts, (o_s, o_state), o_conf * pw)
+        # normalise: sort pairs by (turn, t, source, state) and merge
+        # duplicate (turn, t, source, state) confs — the encoder
+        # already emits this form, but the kernel must not depend on it
+        if len(o_t):
+            order = np.lexsort((o_state, o_s, o_t, pair_turn))
+            pair_turn, o_t, o_s, o_state, o_conf = (
+                pair_turn[order], o_t[order], o_s[order],
+                o_state[order], o_conf[order])
+            dup = ((pair_turn[1:] == pair_turn[:-1])
+                   & (o_t[1:] == o_t[:-1]) & (o_s[1:] == o_s[:-1])
+                   & (o_state[1:] == o_state[:-1]))
+            if dup.any():
+                heads = np.flatnonzero(np.r_[True, ~dup])
+                o_conf = np.add.reduceat(o_conf, heads)
+                pair_turn, o_t, o_s, o_state = (
+                    pair_turn[heads], o_t[heads], o_s[heads],
+                    o_state[heads])
+        pw = w[pair_turn]
 
-            # init/trans counts from the best-coverage argmax sequence ---
-            tok_off = np.concatenate([[0], np.cumsum(nt)])
-            total = int(tok_off[-1])
-            seq = np.zeros(total, np.int64)
-            bm = (o_s == BEST_COVERAGE_INDEX) & (o_conf > 0)
-            if bm.any():
-                bt, bturn = o_t[bm], pair_turn[bm]
-                bstate, bconf = o_state[bm], o_conf[bm]
-                key = bturn * (nt.max() + 1) + bt
-                order = np.lexsort((bstate, -bconf, key))
-                k_srt = key[order]
-                lead = np.r_[True, k_srt[1:] != k_srt[:-1]]
-                pick = order[lead]
-                seq[tok_off[bturn[pick]] + bt[pick]] = bstate[pick]
-            valid = nt > 0
-            np.add.at(init_counts, seq[tok_off[:-1][valid]], w[valid])
-            if total > 1:
-                pos_turn = np.repeat(np.arange(n), nt)
-                same = pos_turn[1:] == pos_turn[:-1]
-                np.add.at(trans_counts,
-                          (seq[:-1][same], seq[1:][same]),
-                          w[pos_turn[:-1][same]])
-        return init_counts, trans_counts, obs_counts
+        # obs counts -------------------------------------------------
+        obs_counts[:, 0] += float((nt * w).sum())
+        if len(o_t):
+            # one O-mass subtraction per distinct (turn, t, source)
+            # group (duplicates adjacent after the sort above)
+            first = np.empty(len(o_t), bool)
+            first[0] = True
+            first[1:] = ((pair_turn[1:] != pair_turn[:-1])
+                         | (o_t[1:] != o_t[:-1])
+                         | (o_s[1:] != o_s[:-1]))
+            np.add.at(obs_counts[:, 0], o_s[first], -pw[first])
+            np.add.at(obs_counts, (o_s, o_state), o_conf * pw)
 
-    def estep(self, params) -> dict:
-        """One E-step over the shard -> sufficient-statistic partial
-        (dedup-weighted).
+        # init/trans counts from the best-coverage argmax sequence ---
+        tok_off = np.concatenate([[0], np.cumsum(nt)])
+        total = int(tok_off[-1])
+        seq = np.zeros(total, np.int64)
+        bm = (o_s == BEST_COVERAGE_INDEX) & (o_conf > 0)
+        if bm.any():
+            bt, bturn = o_t[bm], pair_turn[bm]
+            bstate, bconf = o_state[bm], o_conf[bm]
+            key = bturn * (nt.max() + 1) + bt
+            order = np.lexsort((bstate, -bconf, key))
+            k_srt = key[order]
+            lead = np.r_[True, k_srt[1:] != k_srt[:-1]]
+            pick = order[lead]
+            seq[tok_off[bturn[pick]] + bt[pick]] = bstate[pick]
+        valid = nt > 0
+        np.add.at(init_counts, seq[tok_off[:-1][valid]], w[valid])
+        if total > 1:
+            pos_turn = np.repeat(np.arange(n), nt)
+            same = pos_turn[1:] == pos_turn[:-1]
+            np.add.at(trans_counts,
+                      (seq[:-1][same], seq[1:][same]),
+                      w[pos_turn[:-1][same]])
+    return init_counts, trans_counts, obs_counts
 
-        Per-turn kernel (``hmm.accumulate_flat``) on purpose: its working
-        set is one (T,77) strip that stays in L2.  A batched kernel that
-        streamed (chunk, Tmax, 77) tensors through DRAM was fine on one
-        core, but with 32 shard actors it saturated the memory bus and ran
-        ~3× slower end-to-end (measured 37 s vs 11 s per pass at sf0.1/32
-        cpus), so it was removed."""
-        stats = SuffStats()
-        defer_o = np.zeros(hmm.N_STATES)
-        # buffer persists across passes (allocated + pre-faulted at load);
-        # streaming mode has no resident state, so it builds one lazily
-        emis_buf = getattr(self, "_emis_buf", None)
-        if emis_buf is None:
-            emis_buf = self._emis_buf = hmm.EmisStatsBuffer()
-        emis_buf.reset()
-        any_rows = False
-        for rows, weights in self._iter_deduped():
-            any_rows = True
-            off = rows.offsets
-            # no-op for the resident shard (converted once at load);
-            # converts per chunk in streaming mode
-            o_t = np.asarray(rows.cols["o_t"], np.int64)
-            o_s = np.asarray(rows.cols["o_s"], np.int64)
-            o_state = np.asarray(rows.cols["o_state"], np.int64)
-            o_conf = np.asarray(rows.cols["o_conf"], np.float64)
-            nt = rows.n_tokens
-            for i in range(len(rows)):
-                w = 1.0 if weights is None else weights[i]
-                lo, hi = off[i], off[i + 1]
-                hmm.accumulate_flat(params, int(nt[i]), o_t[lo:hi],
-                                    o_s[lo:hi], o_state[lo:hi],
-                                    o_conf[lo:hi], stats,
-                                    weight=w, defer_o=defer_o,
-                                    emis_buf=emis_buf)
-        if any_rows:
-            emis_buf.apply(stats)
-            stats.obs[params.keep, :, 0] += defer_o[None, :]
-        return stats.to_arrays()
+
+@ray.remote
+def _estep_partial(shard: EMShard, params) -> dict:
+    """One E-step over the shard -> sufficient-statistic partial
+    (dedup-weighted).
+
+    Per-turn kernel (``hmm.accumulate_flat``) on purpose: its working
+    set is one (T,77) strip that stays in L2.  A batched kernel that
+    streamed (chunk, Tmax, 77) tensors through DRAM was fine on one
+    core, but with 32 shards it saturated the memory bus and ran ~3×
+    slower end-to-end (measured 37 s vs 11 s per pass at sf0.1/32
+    cpus), so it was removed."""
+    stats = SuffStats()
+    defer_o = np.zeros(hmm.N_STATES)
+    emis_buf = hmm.EmisStatsBuffer()
+    for rows, weights in _iter_deduped(shard):
+        off = rows.offsets
+        o_t = np.asarray(rows.cols["o_t"], np.int64)
+        o_s = np.asarray(rows.cols["o_s"], np.int64)
+        o_state = np.asarray(rows.cols["o_state"], np.int64)
+        o_conf = np.asarray(rows.cols["o_conf"], np.float64)
+        nt = rows.n_tokens
+        for i in range(len(rows)):
+            w = 1.0 if weights is None else weights[i]
+            lo, hi = off[i], off[i + 1]
+            hmm.accumulate_flat(params, int(nt[i]), o_t[lo:hi],
+                                o_s[lo:hi], o_state[lo:hi],
+                                o_conf[lo:hi], stats,
+                                weight=w, defer_o=defer_o,
+                                emis_buf=emis_buf)
+    emis_buf.apply(stats)
+    stats.obs[params.keep, :, 0] += defer_o[None, :]
+    return stats.to_arrays()
 
 
 @ray.remote
 def _unit_costs(f: str):
-    """Per-row-group E-step cost estimate for one obs file: the sum of
-    token counts over FIRST occurrences of each observation pattern (the
-    recursion is O(tokens·77²) and duplicate turns cost ~nothing after
-    dedup).  Reads only the two tiny metadata columns."""
+    """Per-row-group ``(rg, cost, rows, bytes)`` of one obs file.  The
+    E-step cost estimate is the sum of token counts over FIRST occurrences
+    of each observation pattern (the recursion is O(tokens·77²) and
+    duplicate turns cost ~nothing after dedup); it reads only the two tiny
+    metadata columns.  Rows and uncompressed bytes come from the parquet
+    metadata."""
     pf = pq.ParquetFile(f)
     out = []
     for rg in range(pf.metadata.num_row_groups):
+        md = pf.metadata.row_group(rg)
         t = pf.read_row_group(rg, columns=["n_tokens", "obs_fp"])
         nt = np.asarray(t.column("n_tokens"))
         fp = np.asarray(t.column("obs_fp"))
         _, first = np.unique(fp, return_index=True)
-        out.append((rg, int(nt[first].sum()) + len(nt) // 8 + 1))
+        out.append((rg, int(nt[first].sum()) + len(nt) // 8 + 1,
+                    md.num_rows, md.total_byte_size))
     return f, out
 
 
-def make_shards(obs_files: list[str], n_shards: int):
-    """Cost-balanced CONTIGUOUS row-group assignment -> actor handles.
+def make_shards(obs_files: list[str], n_shards: int) -> list[EMShard]:
+    """Cost-balanced CONTIGUOUS row-group assignment -> shard specs.
 
     Each shard gets a contiguous run of the (file, row-group) order and
-    dedups identical observation patterns on load; the heavy formulaic
+    dedups identical observation patterns per pass; the heavy formulaic
     turns repeat often enough that per-shard dedup captures nearly all of
     the duplicate mass even without any global fingerprint clustering
     (measured: fp-sorting the obs table first changed 2-pass EM time by
     <1%).  Units are row groups, not files (output files can be uneven),
     and the packing balances estimated E-step COST — unique-pattern token
     sums from a parallel metadata pre-pass — because the wall time is the
-    max shard, not the mean."""
+    max shard, not the mean.  A shard whose uncompressed size exceeds
+    ``GRAFT_EM_SHARD_MAX_BYTES`` (4 GiB default) streams."""
     files = sorted(obs_files)
     if not files:
         return []
     costed = dict(ray.get([_unit_costs.remote(f) for f in files]))
-    units = [(f, rg, cost) for f in files for rg, cost in costed[f]]
+    units = [(f, *rg) for f in files for rg in costed[f]]
     n_shards = max(1, min(n_shards, len(units)))
-    total = sum(c for _, _, c in units)
+    total = sum(u[2] for u in units)
     groups: list[dict] = [dict() for _ in range(n_shards)]
+    sizes = [[0, 0] for _ in range(n_shards)]      # rows, bytes
     acc = 0
-    for f, rg, cost in units:
+    for f, rg, cost, n_rows, n_bytes in units:
         i = min(n_shards - 1, (acc + cost // 2) * n_shards // max(total, 1))
         groups[i].setdefault(f, []).append(rg)
+        sizes[i][0] += n_rows
+        sizes[i][1] += n_bytes
         acc += cost
-    # 0.5 CPU per actor: train_hmm_sharded starts one shard per core, so
-    # the shards reserve half the cluster's CPUs and leave the rest
-    # schedulable; a caller passing 2 shards per core fills every core
-    import os
     max_bytes = int(os.environ.get("GRAFT_EM_SHARD_MAX_BYTES",
                                    str(4 * 1024 ** 3)))
-    cls = EMShard.options(num_cpus=0.5)
-    return [cls.remote([(f, rgs) for f, rgs in g.items()], max_bytes)
-            for g in groups if g]
+    shards = []
+    for g, (n_rows, n_bytes) in zip(groups, sizes):
+        if not g:
+            continue
+        streaming = n_bytes > max_bytes
+        if streaming:
+            logging.getLogger(__name__).warning(
+                "EM shard: estimated %.0f MB exceeds budget %.0f MB -> "
+                "streaming mode (per-row-group dedup)",
+                n_bytes / 1e6, max_bytes / 1e6)
+        shards.append(EMShard(tuple((f, tuple(rgs)) for f, rgs in g.items()),
+                              n_rows, streaming))
+    return shards
 
 
-def shard_init_counts(shards):
-    parts = ray.get([s.init_stats.remote() for s in shards])
+def shard_init_counts(shards: list[EMShard]):
+    """Prior-count partials of every shard, summed in shard order."""
+    parts = ray.get([_init_partial.remote(s) for s in shards])
     S, K = hmm.N_SOURCES, hmm.N_STATES
     init = np.zeros(K)
     trans = np.zeros((K, K))
@@ -407,9 +352,11 @@ def shard_init_counts(shards):
     return init, trans, obs
 
 
-def shard_estep(shards, params) -> SuffStats:
+def shard_estep(shards: list[EMShard], params) -> SuffStats:
+    """One E-step pass: one task per shard, partials merged in shard
+    order."""
     params_ref = ray.put(params)
-    parts = ray.get([s.estep.remote(params_ref) for s in shards])
+    parts = ray.get([_estep_partial.remote(s, params_ref) for s in shards])
     total = SuffStats()
     for d in parts:
         total.merge(SuffStats.from_arrays(d))

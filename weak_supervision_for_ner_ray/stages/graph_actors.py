@@ -5,8 +5,7 @@ table with the state rows and pushed BOTH through a coarse groupby every
 iteration — O(E) exchange per iteration regardless of frontier size.
 Real Pregel pins the graph: each :class:`GraphShard` actor builds the
 CSR partition of edges whose src hashes to it ONCE in ``__init__`` (the
-:mod:`..stages.em_actors` persistent-shard convention — the one place
-the Dataset API genuinely can't express iterate-until-converged), and
+Dataset API cannot express iterate-until-converged), and
 every iteration exchanges only ``(node, value)`` int64 message arrays,
 routed point-to-point with per-target ``num_returns`` so a message
 never transits the driver.

@@ -9,8 +9,7 @@ import ray
 # Per-worker-process cache of deserialized broadcast objects.  Stateless
 # map_batches tasks run on Ray's long-lived default workers, so caching the
 # built state here gives actor-pool amortization (build once per worker)
-# without per-stage actor spawn latency — important for the EM loop, which
-# launches a fresh stage every iteration.
+# without per-stage actor spawn latency.
 _WORKER_CACHE: OrderedDict = OrderedDict()
 _WORKER_CACHE_MAX = 32
 

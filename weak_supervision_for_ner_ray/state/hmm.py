@@ -509,15 +509,6 @@ class EmisStatsBuffer:
         self._acc = np.zeros((N_SOURCES * N_STATES, N_STATES))
         self._acc_sub = np.zeros((N_SOURCES, N_STATES))
 
-    def reset(self):
-        """Discard any buffered state (defensive pass-start reset for a
-        buffer reused across EM passes)."""
-        self._sub_s, self._sub_p = [], []
-        self._add_k, self._add_cp = [], []
-        self._rows = 0
-        self._acc.fill(0.0)
-        self._acc_sub.fill(0.0)
-
     def add(self, g_s, post_g, keys, cp):
         self._sub_s.append(g_s)
         self._sub_p.append(post_g)
@@ -556,9 +547,7 @@ class EmisStatsBuffer:
         stats.obs += self._acc.reshape(
             N_SOURCES, N_STATES, N_STATES).transpose(0, 2, 1)
         stats.obs[:, :, 0] -= self._acc_sub
-        # zero in place (not reallocate): a long-lived buffer keeps its
-        # pages mapped, so reusing one EmisStatsBuffer across EM passes
-        # skips the per-pass fault-in of ~2 MB/actor of fresh zeros
+        # leave the buffer empty, so a second apply adds nothing
         self._acc.fill(0.0)
         self._acc_sub.fill(0.0)
 
@@ -701,39 +690,41 @@ def init_params_from_counts(init_counts: np.ndarray,
                 # reproduced faithfully (labelling.py:371-373).
     obs_probs = oc / oc.sum(axis=1)[:, None]
 
+    # row = true state (recall on the diagonal), column = observed state
+    # (error mass off it); the products and the per-row normaliser keep the
+    # reference loop's operation order, so the prior is bit-identical to it
+    ent = [label[2:] for label in POSITIONED_LABELS]
+    both_ent = np.zeros((N_STATES, N_STATES), bool)
+    both_ent[1:, 1:] = True
+    same_type = both_ent & (np.array(ent)[:, None] == np.array(ent)[None, :])
+    prefix = np.array([label[0] for label in POSITIONED_LABELS])
+    same_prefix = both_ent & (prefix[:, None] == prefix[None, :])
+    # the 76 off-diagonal columns of each row, in index order
+    off_diag = np.array([[j for j in range(N_STATES) if j != i]
+                         for i in range(N_STATES)])
     matrix = np.zeros((N_SOURCES, N_STATES, N_STATES))
     for s_idx, source in enumerate(SOURCE_NAMES):
         priors = SOURCE_PRIORS.get(source, {})
-        for pos_index, pos_label in enumerate(POSITIONED_LABELS):
-            if pos_index == 0 or not informative:
-                recall = OUT_RECALL
-            elif pos_label[2:] in priors:
-                _, recall = priors[pos_label[2:]]
-            else:
-                recall = 0.0
-            matrix[s_idx, pos_index, pos_index] = recall
-            for pos_index2, pos_label2 in enumerate(POSITIONED_LABELS):
-                if pos_index2 == pos_index:
-                    continue
-                if pos_index2 == 0 or not informative:
-                    precision = OUT_PRECISION
-                elif pos_label2[2:] in priors:
-                    precision, _ = priors[pos_label2[2:]]
-                else:
-                    precision = 1.0
-                error_prob = ((1 - recall) * (1 - precision)
-                              * (0.001 + obs_probs[s_idx, pos_index2]))
-                if informative and pos_index > 0 and pos_index2 > 0 \
-                        and pos_label[2:] == pos_label2[2:]:
-                    error_prob *= 5
-                if informative and pos_index > 0 and pos_index2 > 0 \
-                        and pos_label[0] == pos_label2[0]:
-                    error_prob *= 2
-                matrix[s_idx, pos_index, pos_index2] = error_prob
-            err = [i for i in range(N_STATES) if i != pos_index]
-            esum = matrix[s_idx, pos_index, err].sum()
-            if esum > 0:
-                matrix[s_idx, pos_index, err] /= esum / (1 - recall)
+        if informative:
+            recall = np.array([priors[e][1] if e in priors else 0.0
+                               for e in ent])
+            precision = np.array([priors[e][0] if e in priors else 1.0
+                                  for e in ent])
+            recall[0], precision[0] = OUT_RECALL, OUT_PRECISION
+        else:
+            recall = np.full(N_STATES, OUT_RECALL)
+            precision = np.full(N_STATES, OUT_PRECISION)
+        error_prob = ((1 - recall)[:, None] * (1 - precision)[None, :]
+                      * (0.001 + obs_probs[s_idx])[None, :])
+        if informative:
+            error_prob = np.where(same_type, error_prob * 5, error_prob)
+            error_prob = np.where(same_prefix, error_prob * 2, error_prob)
+        err = np.take_along_axis(error_prob, off_diag, axis=1)
+        esum = err.sum(axis=1)
+        pos = esum > 0
+        err[pos] /= (esum[pos] / (1 - recall[pos]))[:, None]
+        np.put_along_axis(matrix[s_idx], off_diag, err, axis=1)
+        np.fill_diagonal(matrix[s_idx], recall)
 
     return HMMParams(startprob, transmat, matrix,
                      startprob_prior=startprob_prior,
