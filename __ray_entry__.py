@@ -13,6 +13,8 @@ here calls ``ray.init``/``ray.shutdown``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 from collections.abc import Callable
 from typing import Any
@@ -48,10 +50,38 @@ def _corpus(sf_dir: str) -> str:
     return corpus_for_sf_dir(sf_dir)
 
 
+@functools.lru_cache(maxsize=1)
+def _package_digest() -> str:
+    """sha256 of the package's Python sources (paths and bytes)."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "weak_supervision_for_ner_ray")
+    h = hashlib.sha256()
+    for dirpath, dirnames, files in os.walk(root):
+        dirnames.sort()
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                h.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as fd:
+                    h.update(fd.read())
+    return h.hexdigest()
+
+
 def _workdir(sf_dir: str) -> str:
-    import re
+    """Per-sf cache of the KG stages, keyed by the package sources and by
+    the corpus files' sizes and mtimes: a code, LF or corpus change gets a
+    fresh directory instead of reusing an obs table an older build wrote
+    (the resume stamps only cover the stages after it)."""
     name = os.path.basename(os.path.normpath(sf_dir))
-    return f"/tmp/wsner_work/{name}"
+    turns = os.path.join(_corpus(sf_dir), "turns.parquet")
+    parts = ([os.path.join(turns, f) for f in sorted(os.listdir(turns))]
+             if os.path.isdir(turns) else [turns])
+    h = hashlib.sha256(_package_digest().encode())
+    for path in parts:
+        st = os.stat(path)
+        h.update(f"{os.path.basename(path)}:{st.st_size}:"
+                 f"{st.st_mtime_ns};".encode())
+    return f"/tmp/wsner_work/{name}-{h.hexdigest()[:16]}"
 
 
 def _turns_ds(sf_dir: str):

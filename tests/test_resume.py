@@ -111,3 +111,29 @@ def test_build_kg_ignores_parts_of_a_killed_obs_write(ray_session,
                          columns=["turn_idx"]).num_rows == turns.num_rows
     assert _rows(rerun["triples"], TRIPLE_COLS) == \
         _rows(clean["triples"], TRIPLE_COLS)
+
+
+def test_kg_workdir_keyed_by_code_and_corpus(tmp_path, monkeypatch):
+    """The per-sf KG cache of ``__ray_entry__`` is only reused for the
+    same package sources and the same corpus files."""
+    import __ray_entry__ as entry
+
+    turns = tmp_path / "corpus" / "turns.parquet"
+    turns.mkdir(parents=True)
+    part = turns / "part-0000.parquet"
+    part.write_bytes(b"x" * 10)
+    monkeypatch.setattr(entry, "_corpus", lambda sf: str(tmp_path / "corpus"))
+    first = entry._workdir("/data/sf0.01")
+    assert entry._workdir("/data/sf0.01/") == first
+    assert os.path.basename(first).startswith("sf0.01-")
+
+    digest = entry._package_digest()
+    assert len(digest) == 64
+    monkeypatch.setattr(entry, "_package_digest", lambda: "0" * 64)
+    assert entry._workdir("/data/sf0.01") != first
+    monkeypatch.setattr(entry, "_package_digest", lambda: digest)
+    assert entry._workdir("/data/sf0.01") == first
+
+    st = os.stat(part)
+    os.utime(part, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+    assert entry._workdir("/data/sf0.01") != first

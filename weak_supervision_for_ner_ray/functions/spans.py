@@ -28,6 +28,13 @@ class Layers:
     def clear_source(self, source: str) -> None:
         self.by_source[source] = {}
 
+    def copy(self) -> "Layers":
+        """Copy whose span dicts can be mutated without touching these
+        (the value tuples are immutable and stay shared)."""
+        out = Layers()
+        out.by_source = {s: dict(spans) for s, spans in self.by_source.items()}
+        return out
+
     def add(self, start: int, end: int, label: str, source: str,
             conf: float = 1.0, to_exclude: tuple[str, ...] = ()) -> None:
         """annotations.py:159-176 ``BaseAnnotator.add``."""

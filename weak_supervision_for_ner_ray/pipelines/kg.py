@@ -1,7 +1,8 @@
 """End-to-end knowledge-graph construction pipeline.
 
-read turns → groupby(conv_id) LF bank (turn- and conversation-level
-sources) → obs encoding → obs parquet (the EM input + resume point) →
+read turns → sort by conv_id → per block: LF bank (turn- and
+conversation-level sources) and obs encoding in one pass per conversation
+→ obs parquet (the EM input + resume point) →
 sharded EM → fused decode/link/triple stage → grouped canonicalization →
 sorted node/edge parquet tables (north_star shape).
 """
@@ -91,13 +92,14 @@ def detector_mentions(turns_ds, source: str):
 
 
 def annotate_turns(turns_ds, *, gazetteers=None, first_names=None,
-                   concurrency=None, batch_size: int = 256):
+                   concurrency=None, lin_actor=None):
     """Lazy annotation pipeline: turns -> turn- and conversation-level
-    mentions (nested ``mentions`` column)."""
+    mentions (nested ``mentions`` column) beside the encoded observation
+    (``stages.annotate.annotate_pipeline``)."""
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
     fn = first_names if first_names is not None else DETECTOR_FIRST_NAMES
     return annotate_pipeline(turns_ds, ray.put((gaz, fn)),
-                             concurrency=concurrency, batch_size=batch_size)
+                             concurrency=concurrency, lin_actor=lin_actor)
 
 
 def write_once(ds, path: str, stamp: str = "", **write_kw) -> str:
@@ -118,13 +120,14 @@ def write_once(ds, path: str, stamp: str = "", **write_kw) -> str:
 
 
 def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
-              concurrency=None, batch_size: int = 256,
-              lin_actor=None) -> str:
-    """The one annotate -> encode -> write step, shared by the HMM, the
+              concurrency=None, lin_actor=None) -> str:
+    """The one annotate + encode -> write step, shared by the HMM, the
     majority-vote and the Snorkel paths: returns ``<workdir>/obs``.
 
-    The obs table keeps ``text`` and the nested ``mentions`` beside the
-    encoded observation, so it serves as annotated corpus, EM input
+    The grouped annotate stage emits the obs table itself (each block is
+    annotated and encoded in one call, which records the ``encode_obs``
+    lineage).  The table keeps ``text`` and the nested ``mentions`` beside
+    the encoded observation, so it serves as annotated corpus, EM input
     (column-pruned read) and decode/triple input.  It is the resume point:
     a rerun skips everything up to here.  Small row groups let downstream
     reads split into enough blocks to pack the pool (single-row-group
@@ -135,17 +138,16 @@ def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     passes) and decode by only ~4 s — the heavy formulaic turns repeat
     often enough that per-shard/per-worker dedup and memoisation already
     catch them without global clustering."""
-    from ..stages.encode import encode_obs_batch
-    from ..stages.util import with_lineage
-
-    annotated = annotate_turns(turns_ds, gazetteers=gazetteers,
-                               first_names=first_names,
-                               concurrency=concurrency,
-                               batch_size=batch_size)
-    obs = annotated.map_batches(
-        with_lineage(encode_obs_batch, "encode_obs", lin_actor),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
-    return write_once(obs, os.path.join(workdir, "obs"), row_group_size=1024)
+    obs = annotate_turns(turns_ds, gazetteers=gazetteers,
+                         first_names=first_names, concurrency=concurrency,
+                         lin_actor=lin_actor)
+    # the grouped stage emits one small table per sort range; bundling
+    # them into files of >= 256 rows gives the file layout of a batched
+    # encode stage and fewer files for the EM and decode reads to open
+    # (kg_cold, 1 cpu: 196-217 turns/s against 175-188 with one file per
+    # range, three paired runs)
+    return write_once(obs, os.path.join(workdir, "obs"), row_group_size=1024,
+                      min_rows_per_file=256)
 
 
 def mentions_table(turns_ds, **kw):
@@ -207,12 +209,12 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
     lin_actor = get_lineage_actor() if lineage else None
 
-    # single materialization point: annotate -> conv stage -> obs encoding
-    # fused into one pipeline, one parquet write
+    # single materialization point: turn sources, conversation sources and
+    # obs encoding run in one grouped stage, one parquet write
     nblocks = target_blocks()
     obs_dir = write_obs(turns_ds, workdir, gazetteers=gaz,
                         first_names=first_names, concurrency=concurrency,
-                        batch_size=batch_size, lin_actor=lin_actor)
+                        lin_actor=lin_actor)
     # lazy full read (text + nested mentions) — only executed if the
     # caller consumes the annotated corpus
     annotated = rd.read_parquet(obs_dir, override_num_blocks=nblocks)
@@ -290,7 +292,7 @@ def majority_vote_table(turns_ds, workdir: str, *, gazetteers=None,
     from ..stages.kg import make_majority_vote_fn
 
     obs_dir = write_obs(turns_ds, workdir, gazetteers=gazetteers,
-                        first_names=first_names, batch_size=batch_size)
+                        first_names=first_names)
     obs = rd.read_parquet(obs_dir,
                           columns=["conv_id", "turn_idx", "n_tokens",
                                    "o_t", "o_s", "o_state", "o_conf"])
@@ -320,7 +322,7 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
     from ..state import labelmodel as lm
 
     obs_dir = write_obs(turns_ds, workdir, gazetteers=gazetteers,
-                        first_names=first_names, batch_size=batch_size)
+                        first_names=first_names)
     spans = rd.read_parquet(
         obs_dir, columns=["conv_id", "turn_idx", "mentions"]).map_batches(
             snorkel_spans_batch, batch_format="pyarrow",

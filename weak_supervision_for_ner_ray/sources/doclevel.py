@@ -11,7 +11,7 @@ one turn and runs at the end of the turn-level stage.
 from __future__ import annotations
 
 from ..constants import LEGAL_SUFFIXES
-from ..functions.spans import Layers, get_overlaps
+from ..functions.spans import Layers, _binary_search, get_overlaps
 from ..state.trie import TokenTrie
 from ..tokenizer import Doc
 
@@ -152,40 +152,49 @@ def doc_history(conv: ConversationDoc) -> None:
                 i += 1
 
 
-def doc_majority(conv: ConversationDoc) -> None:
-    """Majority label per entity string across the conversation, re-annotated
-    as cased and uncased layers (annotations.py:1126-1239)."""
-    for layers in conv.layers:
-        layers.clear_source("doc_majority_cased")
-        layers.clear_source("doc_majority_uncased")
+def _overlap_votes(span: tuple[int, int],
+                   src_tables) -> list[tuple[str, float]]:
+    """Ordered ``(label, weight)`` votes the other spans of the voting
+    sources cast on ``span``, weighted by the covered share of it
+    (annotations.py:1183-1192)."""
+    start, end = span
+    out = []
+    for spans2, intervals2 in src_tables:
+        lo, hi = _binary_search(start, end, intervals2)
+        for key2 in intervals2[lo:hi]:
+            s2, e2 = key2
+            if start < e2 and end > s2 and span != key2:
+                overlap = (min(end, e2) - max(start, s2)) / (end - start)
+                for l2, c2 in spans2[key2]:
+                    out.append((l2, c2 * overlap))
+    return out
 
-    # ---- count weighted labels per entity string over all turns ----------
-    from ..functions.spans import _binary_search
 
+def entity_label_counts(conv: ConversationDoc
+                        ) -> dict[tuple[str, ...], dict[str, float]]:
+    """Normalised label weights per entity string, summed over every span
+    of the voting sources in the conversation (annotations.py:1174-1198)."""
     entity_counts: dict[tuple[str, ...], dict[str, float]] = {}
     for d, layers in zip(conv.docs, conv.layers):
         span_labels: dict[tuple[int, int], dict[str, float]] = {}
         # interval lists built ONCE per turn (layers are not mutated in
-        # this phase) instead of re-materialised inside get_overlaps for
-        # every (span × source) probe — same overlaps, ~24× fewer allocs
+        # this phase), and a span's overlap votes do not depend on the
+        # source that emitted it: each distinct span probes them once and
+        # every occurrence replays them in the same order
         src_tables = [(spans, list(spans))
                       for source in DOC_MAJORITY_SOURCES
                       if (spans := layers.by_source.get(source))]
+        overlaps: dict[tuple[int, int], list[tuple[str, float]]] = {}
         for spans, _ in src_tables:
-            for (start, end), vals in spans.items():
-                lab = span_labels.setdefault((start, end), {})
+            for span, vals in spans.items():
+                lab = span_labels.setdefault(span, {})
                 for label, conf in vals:
                     lab[label] = lab.get(label, 0.0) + conf
-                for spans2, intervals2 in src_tables:
-                    lo, hi = _binary_search(start, end, intervals2)
-                    for key2 in intervals2[lo:hi]:
-                        s2, e2 = key2
-                        if start < e2 and end > s2 \
-                                and (start, end) != key2:
-                            overlap = (min(end, e2) - max(start, s2)) \
-                                / (end - start)
-                            for l2, c2 in spans2[key2]:
-                                lab[l2] = lab.get(l2, 0.0) + c2 * overlap
+                votes = overlaps.get(span)
+                if votes is None:
+                    votes = overlaps[span] = _overlap_votes(span, src_tables)
+                for l2, w in votes:
+                    lab[l2] = lab.get(l2, 0.0) + w
         for span, counts in span_labels.items():
             tot = sum(counts.values())
             norm = {lab: c / tot for lab, c in counts.items()}
@@ -195,6 +204,16 @@ def doc_majority(conv: ConversationDoc) -> None:
                     entity_counts[key][lab] = entity_counts[key].get(lab, 0.0) + w
             else:
                 entity_counts[key] = norm
+    return entity_counts
+
+
+def doc_majority(conv: ConversationDoc) -> None:
+    """Majority label per entity string across the conversation, re-annotated
+    as cased and uncased layers (annotations.py:1126-1239)."""
+    for layers in conv.layers:
+        layers.clear_source("doc_majority_cased")
+        layers.clear_source("doc_majority_uncased")
+    entity_counts = entity_label_counts(conv)
 
     # ---- occurrences (case-insensitive) across the conversation ----------
     # first-token index instead of a full scan per entity: turns the

@@ -10,10 +10,13 @@ into the sparse HMM observation.
 
 from __future__ import annotations
 
+import hashlib
+from array import array
+
 import numpy as np
 import pyarrow as pa
 
-from ..functions.spans import Layers, get_overlaps
+from ..functions.spans import Layers, _binary_search
 from ..sources.registry import SOURCE_INDICES, SOURCE_NAMES, SOURCE_PRIORS
 from ..state.hmm import TurnObs
 
@@ -41,6 +44,37 @@ _SPECIALISE_VOTERS = [
 ]
 
 
+def canonical_layers(layers: Layers) -> Layers:
+    """``layers`` as the nested ``mentions`` column stores them: known
+    sources only, sources and spans in sorted order, spans without values
+    dropped, conf rounded to float32.  The conversation-level sources and
+    the specialise vote read span order and conf bits, so the grouped stage
+    runs them on canonical layers to get what a round trip through the
+    column gives.  Value tuples are shared with ``layers`` unless rounding
+    changes a conf."""
+    out = Layers()
+    by_source = out.by_source
+    confs = []
+    for source in sorted(layers.by_source):
+        if source not in SOURCE_INDICES:
+            continue
+        spans = layers.by_source[source]
+        kept = {span: spans[span] for span in sorted(spans) if spans[span]}
+        if kept:
+            by_source[source] = kept
+            confs.extend(c for vals in kept.values() for _, c in vals)
+    # one C-level double -> float cast for the whole turn, the same
+    # rounding Arrow applies when it builds the float32 column; most confs
+    # (1.0, 0.5, ...) come through unchanged
+    rounded = array("f", confs).tolist()
+    if rounded != confs:
+        it = iter(rounded)
+        for spans in by_source.values():
+            for span, vals in spans.items():
+                spans[span] = tuple((label, next(it)) for label, _ in vals)
+    return out
+
+
 class MentionsBuilder:
     """Accumulates per-turn mention lists into a ListArray of structs."""
 
@@ -52,22 +86,22 @@ class MentionsBuilder:
         self.conf: list[float] = []
         self.offsets: list[int] = [0]
 
-    def add_layers(self, layers: Layers) -> None:
-        sids = SOURCE_INDICES
+    def add_layers(self, layers: Layers) -> Layers:
+        """Append one turn's mentions; returns the canonical layers
+        (:func:`canonical_layers`) they encode."""
+        canon = canonical_layers(layers)
         lids = LABEL_IDS
-        for source in sorted(layers.by_source):
-            sid = sids.get(source)
-            if sid is None:
-                continue
-            spans = layers.by_source[source]
-            for (s, e) in sorted(spans):
-                for lab, c in spans[(s, e)]:
+        for source, spans in canon.by_source.items():
+            sid = SOURCE_INDICES[source]
+            for (s, e), vals in spans.items():
+                for lab, c in vals:
                     self.source.append(sid)
                     self.start.append(s)
                     self.end.append(e)
                     self.label.append(lids[lab])
                     self.conf.append(c)
         self.offsets.append(len(self.source))
+        return canon
 
     def finish(self) -> pa.ListArray:
         struct = pa.StructArray.from_arrays(
@@ -115,38 +149,60 @@ class MentionRows:
         return layers
 
 
+def _span_votes(span: tuple[int, int],
+                voters) -> list[tuple[str, str, float]]:
+    """Ordered ``(voter, label, weight)`` votes the non-generic labels of
+    the voters' spans overlapping ``span`` cast (labelling.py:192-203)."""
+    start, end = span
+    out = []
+    for other, spans, intervals, priors in voters:
+        lo, hi = _binary_search(start, end, intervals)
+        for key2 in intervals[lo:hi]:
+            s2, e2 = key2
+            if start < e2 and end > s2:
+                for l2, c2 in spans[key2]:
+                    if l2 in ("ENT", "MISC"):
+                        continue
+                    w = c2 if key2 == span else 0.3 * c2
+                    w *= priors.get(l2, (0.5, 0.5))[0]
+                    out.append((other, l2, w))
+    return out
+
+
 def specialise_annotations(layers: Layers) -> None:
     """Replace generic ENT/MISC labels by a confidence-weighted vote of
-    overlapping non-generic sources (labelling.py:175-213).  In place."""
-    voters = [s for s in _SPECIALISE_VOTERS if s in layers.by_source]
+    overlapping non-generic sources (labelling.py:175-213).  In place.
+
+    A span's votes do not depend on which source emitted it, so each
+    distinct span probes the voters' interval lists (built once per turn)
+    once; every ENT/MISC occurrence then replays that list, skipping its own
+    source, with the same float operations in the same order."""
+    by_source = layers.by_source
+    voters = [(s, spans, list(spans), SOURCE_PRIORS.get(s, {}))
+              for s in _SPECIALISE_VOTERS if (spans := by_source.get(s))]
+    votes: dict[tuple[int, int], list] = {}
     to_set = []
-    for source, spans in layers.by_source.items():
-        for (start, end), vals in spans.items():
+    for source, spans in by_source.items():
+        for span, vals in spans.items():
             for label, conf in vals:
                 if label not in ("ENT", "MISC"):
                     continue
+                cast = votes.get(span)
+                if cast is None:
+                    cast = votes[span] = _span_votes(span, voters)
                 label_counts: dict[str, float] = {}
-                for other in voters:
-                    if other == source:
-                        continue
-                    for s2, e2, vals2 in get_overlaps(start, end, layers,
-                                                      [other]):
-                        for l2, c2 in vals2:
-                            if l2 in ("ENT", "MISC"):
-                                continue
-                            w = c2 if (s2 == start and e2 == end) else 0.3 * c2
-                            w *= SOURCE_PRIORS.get(other, {}).get(
-                                l2, (0.5, 0.5))[0]
-                            label_counts[l2] = label_counts.get(l2, 0.0) \
-                                + conf * w
+                for other, l2, w in cast:
+                    if other != source:
+                        label_counts[l2] = label_counts.get(l2, 0.0) \
+                            + conf * w
                 total = sum(label_counts.values())
                 src_priors = SOURCE_PRIORS.get(source, {})
                 new_vals = tuple(
                     (l, src_priors.get(l, (0.5, 0.5))[0] * c / total)
                     for l, c in label_counts.items())
-                to_set.append((source, start, end, new_vals))
-    for source, start, end, vals in to_set:
-        layers.by_source[source][(start, end)] = vals
+                to_set.append((source, span, new_vals))
+    for source, span, vals in to_set:
+        by_source[source][span] = vals
 
 
 def layers_to_obs(layers: Layers, n_tokens: int) -> TurnObs:
@@ -166,58 +222,83 @@ def layers_to_obs(layers: Layers, n_tokens: int) -> TurnObs:
     return obs
 
 
-def encode_obs_batch(batch: pa.Table) -> pa.Table:
-    """Annotated batch -> flattened observation batch (the nested
-    ``mentions`` are kept for the span-level baselines).
+class ObsBuilder:
+    """Accumulates per-turn observations into the flattened obs columns
+    (``o_t``/``o_s``/``o_state``/``o_conf`` lists in (token, source) order)
+    and each turn's pattern fingerprint ``obs_fp``."""
 
-    ``specialise_annotations`` + BILU spreading run ONCE here; the EM loop
-    and decode stages then consume plain int/float arrays instead of
-    re-parsing nested mention structs every pass (the encoding does not
-    depend on HMM parameters, so it is safe to materialise)."""
-    import hashlib
+    def __init__(self):
+        self.o_t: list[int] = []
+        self.o_s: list[int] = []
+        self.o_state: list[int] = []
+        self.o_conf: list[float] = []
+        self.offsets: list[int] = [0]
+        self.fps: list[int] = []
 
-    rows = MentionRows(batch)
-    n_tokens = batch.column("n_tokens").to_pylist()
-    o_t, o_s, o_state, o_conf = [], [], [], []
-    offsets = [0]
-    fps = []
-    for i, nt in enumerate(n_tokens):
-        layers = rows.layers(i)
-        obs = layers_to_obs(layers, nt)
-        lo = offsets[-1]
+    def add(self, obs: TurnObs) -> None:
+        lo = self.offsets[-1]
         for (t, s) in sorted(obs.fired):
             for state, conf in obs.fired[(t, s)].items():
-                o_t.append(t)
-                o_s.append(s)
-                o_state.append(state)
-                o_conf.append(conf)
-        offsets.append(len(o_t))
+                self.o_t.append(t)
+                self.o_s.append(s)
+                self.o_state.append(state)
+                self.o_conf.append(conf)
+        self.offsets.append(len(self.o_t))
         # observation-pattern fingerprint: the EM shard dedup groups
         # turns by this key, then verifies byte-equality of the actual
         # pattern within each group before merging weights
         # (em_actors._dedup_rows) — so a 63-bit collision costs a little
         # dedup, never correctness
         h = hashlib.blake2b(digest_size=8)
-        h.update(int(nt).to_bytes(4, "little"))
-        h.update(np.asarray(o_t[lo:], np.int32).tobytes())
-        h.update(np.asarray(o_s[lo:], np.int32).tobytes())
-        h.update(np.asarray(o_state[lo:], np.int32).tobytes())
-        h.update(np.asarray(o_conf[lo:], np.float64).tobytes())
-        fps.append(int.from_bytes(h.digest(), "little") >> 1)
-    off = pa.array(offsets, pa.int32())
+        h.update(int(obs.n_tokens).to_bytes(4, "little"))
+        h.update(np.asarray(self.o_t[lo:], np.int32).tobytes())
+        h.update(np.asarray(self.o_s[lo:], np.int32).tobytes())
+        h.update(np.asarray(self.o_state[lo:], np.int32).tobytes())
+        h.update(np.asarray(self.o_conf[lo:], np.float64).tobytes())
+        self.fps.append(int.from_bytes(h.digest(), "little") >> 1)
+
+    def columns(self) -> dict[str, pa.Array]:
+        off = pa.array(self.offsets, pa.int32())
+
+        def lists(values, typ):
+            return pa.ListArray.from_arrays(off, pa.array(values, typ))
+
+        return {
+            "obs_fp": pa.array(self.fps, pa.int64()),
+            "o_t": lists(self.o_t, pa.int32()),
+            "o_s": lists(self.o_s, pa.int32()),
+            "o_state": lists(self.o_state, pa.int32()),
+            "o_conf": lists(self.o_conf, pa.float64()),
+        }
+
+
+def encode_layers(layers_list: list[Layers],
+                  n_tokens: list[int]) -> dict[str, pa.Array]:
+    """Conversation-finished layers -> the ``mentions`` column (canonical,
+    before specialisation) and the obs columns, in one pass per turn."""
+    mentions, obs = MentionsBuilder(), ObsBuilder()
+    for layers, nt in zip(layers_list, n_tokens):
+        obs.add(layers_to_obs(mentions.add_layers(layers), nt))
+    return {"mentions": mentions.finish(), **obs.columns()}
+
+
+def encode_obs_batch(batch: pa.Table) -> pa.Table:
+    """Annotated batch (nested ``mentions``) -> obs batch: an Arrow adapter
+    over :func:`layers_to_obs` and :class:`ObsBuilder` for callers that
+    hold an annotated table, such as the kernel timings.  The pipeline
+    encodes inside the grouped annotate stage instead
+    (``stages.annotate``), with no round trip through the column."""
+    rows = MentionRows(batch)
+    obs = ObsBuilder()
+    for i, nt in enumerate(batch.column("n_tokens").to_pylist()):
+        obs.add(layers_to_obs(rows.layers(i), nt))
     return pa.table({
         "conv_id": batch.column("conv_id"),
         "turn_idx": batch.column("turn_idx"),
         "text": batch.column("text"),
         "n_tokens": batch.column("n_tokens"),
         "mentions": batch.column("mentions"),
-        "obs_fp": pa.array(fps, pa.int64()),
-        "o_t": pa.ListArray.from_arrays(off, pa.array(o_t, pa.int32())),
-        "o_s": pa.ListArray.from_arrays(off, pa.array(o_s, pa.int32())),
-        "o_state": pa.ListArray.from_arrays(off,
-                                            pa.array(o_state, pa.int32())),
-        "o_conf": pa.ListArray.from_arrays(off,
-                                           pa.array(o_conf, pa.float64())),
+        **obs.columns(),
     })
 
 
