@@ -16,6 +16,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import re
+import shutil
 from collections.abc import Callable
 from typing import Any
 
@@ -67,11 +69,16 @@ def _package_digest() -> str:
     return h.hexdigest()
 
 
+_WORK_ROOT = "/tmp/wsner_work"
+
+
 def _workdir(sf_dir: str) -> str:
     """Per-sf cache of the KG stages, keyed by the package sources and by
     the corpus files' sizes and mtimes: a code, LF or corpus change gets a
     fresh directory instead of reusing an obs table an older build wrote
-    (the resume stamps only cover the stages after it)."""
+    (the resume stamps only cover the stages after it).  A key with no
+    directory yet removes the sf's older ``<sf>-<key>`` directories and the
+    unkeyed ``<sf>`` one, which no build reads again."""
     name = os.path.basename(os.path.normpath(sf_dir))
     turns = os.path.join(_corpus(sf_dir), "turns.parquet")
     parts = ([os.path.join(turns, f) for f in sorted(os.listdir(turns))]
@@ -81,7 +88,13 @@ def _workdir(sf_dir: str) -> str:
         st = os.stat(path)
         h.update(f"{os.path.basename(path)}:{st.st_size}:"
                  f"{st.st_mtime_ns};".encode())
-    return f"/tmp/wsner_work/{name}-{h.hexdigest()[:16]}"
+    wd = os.path.join(_WORK_ROOT, f"{name}-{h.hexdigest()[:16]}")
+    if not os.path.isdir(wd) and os.path.isdir(_WORK_ROOT):
+        stale = re.compile(re.escape(name) + r"(-[0-9a-f]{16})?")
+        for f in os.listdir(_WORK_ROOT):
+            if stale.fullmatch(f):
+                shutil.rmtree(os.path.join(_WORK_ROOT, f), ignore_errors=True)
+    return wd
 
 
 def _turns_ds(sf_dir: str):
@@ -246,12 +259,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_ngram_jaccard": lambda sf: ops.ngram_jaccard_verify(sf),
         "dedup_simhash": ops.simhash_table,
         "lang_id": ops.lang_id,
-        "multimodal_features": ops.multimodal_features,
-        "multimodal_frame_sample": lambda sf: ops.multimodal_frame_sample(sf),
-        "multimodal_audio_features":
-            lambda sf: ops.multimodal_audio_features(sf),
-        "multimodal_video_frames":
-            lambda sf: ops.multimodal_video_frames(sf),
         # --- the KG-construction engine over transcripts (rows-only:
         #     transcripts are synthesised outside the DuckDB views) ---
         "turns_restore_order": turns_restore_order,
@@ -768,8 +775,19 @@ def _detector_sqls(turns_path: str) -> dict[str, str]:
     }
 
 
+def _defaults(fn) -> dict[str, Any]:
+    """Keyword defaults of ``fn``, so an oracle's literals follow the op."""
+    import inspect
+    return {n: p.default for n, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
 def oracle_sql() -> dict[str, str]:
+    from weak_supervision_for_ner_ray.pipelines import ops
     from weak_supervision_for_ner_ray.pipelines.ops import _STOPWORDS
+
+    lift = _defaults(ops.bigram_lift)
+    pmi = _defaults(ops.cooccur_pmi)
 
     # language-id oracle: same stopword lists as the engine, same
     # first-on-tie argmax (ORDER BY n DESC, lang ASC) and the same
@@ -1483,7 +1501,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         # collocation lift: HUGEINT product // HUGEINT product mirrors
         # the engine's arbitrary-precision Python-int evaluation exactly
-        "bigram_lift": """
+        "bigram_lift": f"""
             WITH toks AS (
               SELECT list_filter(regexp_split_to_array(text, '\\s+'),
                                  x -> x <> '') AS t
@@ -1511,13 +1529,13 @@ def oracle_sql() -> dict[str, str]:
                           AS BIGINT) AS lift_ppm
               FROM cab JOIN la USING (a) JOIN rb USING (b)
                    CROSS JOIN tot
-              WHERE cab.cnt >= 5
-            ) ORDER BY lift_ppm DESC, a, b LIMIT 50
+              WHERE cab.cnt >= {lift['min_cnt']}
+            ) ORDER BY lift_ppm DESC, a, b LIMIT {lift['k']}
         """,
         # windowed co-occurrence PMI: unordered least/greatest pairs at
         # filtered-token distances 1..window-1, unigram marginals,
         # HUGEINT integer grid mirroring the engine's bigint evaluation
-        "cooccur_pmi": """
+        "cooccur_pmi": f"""
             WITH toks AS (
               SELECT row_number() OVER () AS doc,
                      list_filter(regexp_split_to_array(text, '\\s+'),
@@ -1534,7 +1552,7 @@ def oracle_sql() -> dict[str, str]:
               SELECT least(p.tok, q.tok) AS a,
                      greatest(p.tok, q.tok) AS b, count(*) AS cnt
               FROM pos p JOIN pos q
-                ON p.doc = q.doc AND q.i > p.i AND q.i < p.i + 3
+                ON p.doc = q.doc AND q.i > p.i AND q.i < p.i + {pmi['window']}
               GROUP BY 1, 2
             ), npair AS (SELECT sum(cnt) AS n_pairs FROM pairs)
             SELECT CAST(row_number() OVER (ORDER BY pmi_ppm DESC, a, b)
@@ -1552,8 +1570,8 @@ def oracle_sql() -> dict[str, str]:
               FROM pairs JOIN uni ua ON pairs.a = ua.tok
                          JOIN uni ub ON pairs.b = ub.tok
                    CROSS JOIN ntok CROSS JOIN npair
-              WHERE pairs.cnt >= 5
-            ) ORDER BY pmi_ppm DESC, a, b LIMIT 50
+              WHERE pairs.cnt >= {pmi['min_cnt']}
+            ) ORDER BY pmi_ppm DESC, a, b LIMIT {pmi['k']}
         """,
         # BPE round 1: frequency-weighted adjacent character pairs over
         # the word-dict (overlap-inclusive — the Sennrich get_stats

@@ -173,6 +173,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     timed("cooccur_pmi", lambda: ops.cooccur_pmi(sf_dir))
     timed("bpe_pair_counts", lambda: ops.bpe_pair_counts(sf_dir))
     timed("bpe_train", lambda: ops.bpe_train(sf_dir))
+    timed("bpe_token_count", lambda: ops.bpe_token_count(sf_dir))
     timed("interarrival_stats", lambda: ops.interarrival_stats(sf_dir))
     timed("histogram_numeric", lambda: ops.histogram_numeric(sf_dir))
     timed("skyline", lambda: ops.skyline(sf_dir))
@@ -193,8 +194,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
           lambda: ops.pii_redact(rd.read_parquet(turns_path)))
     timed("conv_flatten",
           lambda: ops.conv_flatten(rd.read_parquet(turns_path)))
-    timed("multimodal_video_frames",
-          lambda: ops.multimodal_video_frames(sf_dir))
     timed("inverted_index", lambda: ops.inverted_index(sf_dir))
 
     shutil.rmtree(workdir, ignore_errors=True)

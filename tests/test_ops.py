@@ -1,5 +1,5 @@
-"""Data-ops tests: dedup family, similarity search, text analysis,
-multimodal plumbing — on constructed inputs with known answers."""
+"""Data-ops tests: dedup family, similarity search, text analysis — on
+constructed inputs with known answers."""
 
 import numpy as np
 import pandas as pd
@@ -145,18 +145,6 @@ def test_lang_id_null_text(ray_session, tmp_path):
     out = to_arrow(ops.lang_id(d)).to_pydict()
     langs = dict(zip(out["doc_id"], out["lang_pred"]))
     assert langs[0] == "en" and langs[1] == "und"
-
-
-def test_multimodal_stage_stub_and_features(ray_session, docs_dir):
-    out = to_arrow(ops.multimodal_features(docs_dir))
-    assert out.num_rows == 6
-    feats = out.column("features").to_pylist()
-    assert all(len(f) == 16 for f in feats)
-    assert all(abs(sum(f) - 1.0) < 1e-9 for f in feats)
-    # the real decoder is a clearly-marked stub
-    stage = ops.MultimodalFeatureStage(use_real_decoder=True)
-    with pytest.raises(NotImplementedError):
-        stage.featurize(b"payload")
 
 
 def test_token_count_bpe(ray_session, docs_dir):
@@ -385,6 +373,9 @@ def test_minhash_signature_properties():
     sa, sb = set(mh.shingles(a).tolist()), set(mh.shingles(b).tolist())
     true_j = len(sa & sb) / len(sa | sb)
     assert abs(est - true_j) < 0.25            # unbiased estimate
+    # bands must split the signature evenly, also under ``python -O``
+    with pytest.raises(ValueError, match="multiple of bands"):
+        ops.MinHashStage(num_perm=100, bands=32)
 
 
 def test_minhash_dropped_buckets_not_silent(ray_session, docs_dir, caplog):
@@ -588,513 +579,6 @@ def test_ann_lsh_query_recall(ray_session, docs_dir):
                   approx["sim_micro"]))
     for key in exact_set & approx_set:
         assert ex[key] == ap[key]
-
-
-def test_multimodal_frame_sample_and_resize(ray_session, docs_dir):
-    out = to_arrow(ops.multimodal_frame_sample(docs_dir, n_frames=3))
-    # every non-empty doc yields up to 3 frames with stable indices
-    items = set(out.column("item_id").to_pylist())
-    assert items == set(range(6))
-    assert set(out.column("frame_idx").to_pylist()) <= {0, 1, 2}
-    # resize stage: fixed-length grid per item, stub decoder marked
-    import pyarrow as pa
-    stage = ops.ImageResizeStage(h=4, w=4)
-    batch = pa.table({"item_id": pa.array([1], pa.int64()),
-                      "payload": pa.array([b"abcdef" * 10], pa.binary())})
-    grid = stage(batch)
-    assert len(grid.column("grid")[0].as_py()) == 16
-    with pytest.raises(NotImplementedError):
-        ops.ImageResizeStage(use_real_decoder=True).grid(b"x")
-    with pytest.raises(NotImplementedError):
-        ops.FrameSampleStage(use_real_decoder=True).decode_video(b"x")
-
-
-def _make_ppm(img: "np.ndarray") -> bytes:
-    h, w, _ = img.shape
-    return (f"P6\n# comment\n{w} {h}\n255\n".encode()
-            + img.astype(np.uint8).tobytes())
-
-
-def _make_bmp(img: "np.ndarray") -> bytes:
-    h, w, _ = img.shape
-    stride = (w * 3 + 3) & ~3
-    rows = np.zeros((h, stride), np.uint8)
-    rows[:, :w * 3] = img[::-1, :, ::-1].reshape(h, w * 3)  # bottom-up BGR
-    header = (b"BM" + (54 + h * stride).to_bytes(4, "little")
-              + b"\0\0\0\0" + (54).to_bytes(4, "little")
-              + (40).to_bytes(4, "little")
-              + w.to_bytes(4, "little", signed=True)
-              + h.to_bytes(4, "little", signed=True)
-              + (1).to_bytes(2, "little") + (24).to_bytes(2, "little")
-              + (0).to_bytes(4, "little")
-              + (h * stride).to_bytes(4, "little") + b"\0" * 16)
-    return header + rows.tobytes()
-
-
-def _make_png(img: "np.ndarray", filters=None, split_idat=False) -> bytes:
-    """Minimal PNG encoder (test-side): forward-filters each row with the
-    given per-row filter types, so the decoder must invert them all."""
-    import struct
-    import zlib
-    if img.ndim == 2:
-        img = img[..., None]
-    h, w, ch = img.shape
-    ctype = {1: 0, 2: 4, 3: 2, 4: 6}[ch]
-    filters = filters or [0] * h
-    rows, prev = [], np.zeros(w * ch, np.int32)
-    for y in range(h):
-        cur = img[y].reshape(-1).astype(np.int32)
-        f = filters[y]
-        if f == 0:
-            enc = cur
-        elif f == 1:
-            left = np.concatenate([np.zeros(ch, np.int32), cur[:-ch]])
-            enc = (cur - left) & 0xFF
-        elif f == 2:
-            enc = (cur - prev) & 0xFF
-        elif f == 3:
-            left = np.concatenate([np.zeros(ch, np.int32), cur[:-ch]])
-            enc = (cur - ((left + prev) >> 1)) & 0xFF
-        elif f == 4:
-            enc = cur.copy()
-            for x in range(w * ch):
-                a = int(cur[x - ch]) if x >= ch else 0
-                b = int(prev[x])
-                c = int(prev[x - ch]) if x >= ch else 0
-                p = a + b - c
-                da, db, dc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (da <= db and da <= dc) \
-                    else (b if db <= dc else c)
-                enc[x] = (int(cur[x]) - pred) & 0xFF
-        rows.append(bytes([f]) + enc.astype(np.uint8).tobytes())
-        prev = cur
-
-    def chunk(typ, data):
-        return (struct.pack(">I", len(data)) + typ + data
-                + struct.pack(">I", zlib.crc32(typ + data)))
-
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, ctype, 0, 0, 0)
-    z = zlib.compress(b"".join(rows))
-    if split_idat:
-        idat = chunk(b"IDAT", z[:7]) + chunk(b"IDAT", z[7:])
-    else:
-        idat = chunk(b"IDAT", z)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + idat
-            + chunk(b"IEND", b""))
-
-
-def test_png_decode_all_filters():
-    """The stdlib-zlib PNG decoder is pixel-exact for every filter type,
-    color type, and a multi-IDAT stream."""
-    rng = np.random.default_rng(5)
-    img = rng.integers(0, 256, (10, 7, 3), np.uint8)
-    filters = [0, 1, 2, 3, 4, 4, 3, 2, 1, 0]
-    assert np.array_equal(
-        ops._decode_png(_make_png(img, filters)), img)
-    assert np.array_equal(
-        ops._decode_png(_make_png(img, filters, split_idat=True)), img)
-    rgba = rng.integers(0, 256, (5, 6, 4), np.uint8)
-    assert np.array_equal(
-        ops._decode_png(_make_png(rgba, [4, 3, 2, 1, 0])), rgba[..., :3])
-    gray = rng.integers(0, 256, (4, 9), np.uint8)
-    assert np.array_equal(
-        ops._decode_png(_make_png(gray, [1, 4, 2, 3])),
-        np.repeat(gray[..., None], 3, axis=2))
-    # the resize stage routes PNG payloads through the real decoder
-    stage = ops.ImageResizeStage(h=2, w=2, use_real_decoder=True)
-    got = stage.grid(_make_png(img, filters))
-    g = img.astype(np.float64).mean(axis=2)
-    want = np.array([
-        g[:5, :3].mean(), g[:5, 3:].mean(),
-        g[5:, :3].mean(), g[5:, 3:].mean()]) / 255.0
-    assert np.allclose(got, want)
-
-
-# -- baseline JPEG: test-side encoder + pixel-exact decode ------------------
-
-def _jpeg_zigzag():
-    return np.array([
-        0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
-        12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
-        35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-        58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
-    ], np.int64)
-
-
-def _jpeg_basis():
-    # the test derives its own orthonormal DCT basis (independent of the
-    # decoder's constant) so the IDCT path is cross-checked, not shared
-    a = np.zeros((8, 8))
-    for k in range(8):
-        for n in range(8):
-            a[k, n] = np.sqrt(2.0 / 8.0) * (
-                (1 / np.sqrt(2.0)) if k == 0 else 1.0) \
-                * np.cos((2 * n + 1) * k * np.pi / 16.0)
-    return a
-
-
-class _JpegWriter:
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.n = 0
-
-    def put(self, val, nbits):
-        for i in range(nbits - 1, -1, -1):
-            self.acc = (self.acc << 1) | ((val >> i) & 1)
-            self.n += 1
-            if self.n == 8:
-                self.out.append(self.acc)
-                if self.acc == 0xFF:
-                    self.out.append(0x00)       # byte stuffing
-                self.acc, self.n = 0, 0
-
-    def flush(self):
-        while self.n:
-            self.put(1, 1)                      # pad with 1-bits
-
-
-def _jpeg_symbols(qz_blocks, reset_every=0):
-    """(dc_syms, ac_syms, encode_ops) for a component's zigzag blocks;
-    ``reset_every`` resets the DC predictor every that many blocks (the
-    restart-interval rule, in per-component block units)."""
-    dc_syms, ac_syms, ops_list = set(), set(), []
-    prev = 0
-    for bi, zz in enumerate(qz_blocks):
-        if reset_every and bi % reset_every == 0:
-            prev = 0
-        diff = int(zz[0]) - prev
-        prev = int(zz[0])
-        s = int(diff).bit_length() if diff else 0
-        dc_syms.add(s)
-        v = diff if diff >= 0 else diff + (1 << s) - 1
-        ops_list.append(("dc", s, v))
-        run = 0
-        last_nz = max(np.flatnonzero(zz[1:])) + 1 if (zz[1:] != 0).any() \
-            else 0
-        for k in range(1, last_nz + 1):
-            c = int(zz[k])
-            if c == 0:
-                run += 1
-                continue
-            while run > 15:
-                ac_syms.add(0xF0)
-                ops_list.append(("ac", 0xF0, 0, 0))
-                run -= 16
-            sz = abs(c).bit_length()
-            sym = (run << 4) | sz
-            ac_syms.add(sym)
-            vv = c if c >= 0 else c + (1 << sz) - 1
-            ops_list.append(("ac", sym, sz, vv))
-            run = 0
-        if last_nz < 63:
-            ac_syms.add(0x00)
-            ops_list.append(("ac", 0x00, 0, 0))
-        ops_list.append(("endblk",))
-    return dc_syms, ac_syms, ops_list
-
-
-def _fixed8_table(syms):
-    """All-codes-8-bit canonical table: (bits, vals, {sym: code})."""
-    vals = sorted(syms)
-    assert len(vals) <= 200
-    bits = [0] * 16
-    bits[7] = len(vals)
-    return bytes(bits), bytes(vals), {s: i for i, s in enumerate(vals)}
-
-
-def _make_jpeg(img, subsample=False, restart=0, gray=False):
-    """Minimal baseline JFIF encoder: forward orthonormal DCT, fixed
-    zigzag-domain quant tables, per-image fixed-8-bit Huffman tables,
-    optional 4:2:0 subsampling and restart intervals.  Returns
-    (payload, expected_rgb) with the expected image computed from the
-    QUANTIZED coefficients via the test's own IDCT/upsample/colorconv —
-    independent of the decoder's bitstream walk."""
-    import struct
-    A = _jpeg_basis()
-    ZZ = _jpeg_zigzag()
-    H, W = img.shape[:2]
-    if gray:
-        planes = [img.astype(np.float64)]
-        sampling = [(1, 1)]
-    else:
-        r = img[..., 0].astype(np.float64)
-        g = img[..., 1].astype(np.float64)
-        b = img[..., 2].astype(np.float64)
-        y = 0.299 * r + 0.587 * g + 0.114 * b
-        cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
-        cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
-        if subsample:
-            he, we = H + (H & 1), W + (W & 1)
-            cbp = np.pad(cb, ((0, he - H), (0, we - W)), mode="edge")
-            crp = np.pad(cr, ((0, he - H), (0, we - W)), mode="edge")
-            cb = cbp.reshape(he // 2, 2, we // 2, 2).mean(axis=(1, 3))
-            cr = crp.reshape(he // 2, 2, we // 2, 2).mean(axis=(1, 3))
-            planes = [y, cb, cr]
-            sampling = [(2, 2), (1, 1), (1, 1)]
-        else:
-            planes = [y, cb, cr]
-            sampling = [(1, 1), (1, 1), (1, 1)]
-    hmax = max(s[0] for s in sampling)
-    vmax = max(s[1] for s in sampling)
-    mcux = -(-W // (8 * hmax))
-    mcuy = -(-H // (8 * vmax))
-    qlum = (np.arange(64, dtype=np.int64) % 7) + 2
-    qchr = (np.arange(64, dtype=np.int64) % 5) + 3
-    qts = [qlum] + ([qchr] if len(planes) > 1 else [])
-
-    # quantize every block per component, MCU-interleaved order
-    comp_blocks = []                     # per component: list of zigzag qz
-    for ci, (pl, (sh, sv)) in enumerate(zip(planes, sampling)):
-        ph, pw = mcuy * sv * 8, mcux * sh * 8
-        pl = np.pad(pl, ((0, ph - pl.shape[0]), (0, pw - pl.shape[1])),
-                    mode="edge")
-        q = qts[min(ci, 1)]
-        blocks = []
-        for my in range(mcuy):
-            for mx in range(mcux):
-                for v in range(sv):
-                    for h in range(sh):
-                        y0, x0 = (my * sv + v) * 8, (mx * sh + h) * 8
-                        blk = pl[y0:y0 + 8, x0:x0 + 8] - 128.0
-                        coef = A @ blk @ A.T
-                        blocks.append(np.round(
-                            coef.reshape(-1)[ZZ] / q).astype(np.int64))
-        comp_blocks.append(blocks)
-
-    # independent expected image from the quantized coefficients
-    recon = []
-    for ci, (blocks, (sh, sv)) in enumerate(zip(comp_blocks, sampling)):
-        q = qts[min(ci, 1)]
-        ph, pw = mcuy * sv * 8, mcux * sh * 8
-        pl = np.zeros((ph, pw))
-        bi = 0
-        for my in range(mcuy):
-            for mx in range(mcux):
-                for v in range(sv):
-                    for h in range(sh):
-                        deq = np.zeros(64)
-                        deq[ZZ] = (blocks[bi] * q).astype(np.float64)
-                        pix = A.T @ deq.reshape(8, 8) @ A
-                        y0 = (my * sv + v) * 8
-                        x0 = (mx * sh + h) * 8
-                        pl[y0:y0 + 8, x0:x0 + 8] = pix
-                        bi += 1
-        pl = np.repeat(np.repeat(pl, vmax // sv, axis=0),
-                       hmax // sh, axis=1)
-        recon.append(pl[:H, :W] + 128.0)
-    if gray:
-        expected = np.repeat(np.clip(np.round(recon[0]), 0, 255)
-                             .astype(np.uint8)[:, :, None], 3, axis=2)
-    else:
-        yv, cbv, crv = recon[0], recon[1] - 128.0, recon[2] - 128.0
-        rgb = np.stack([yv + 1.402 * crv,
-                        yv - 0.344136 * cbv - 0.714136 * crv,
-                        yv + 1.772 * cbv], axis=2)
-        expected = np.clip(np.round(rgb), 0, 255).astype(np.uint8)
-
-    # Huffman tables (class 0 = DC, 1 = AC; id 0 = luma, 1 = chroma)
-    bpm = [sh * sv for sh, sv in sampling]
-    lum_ops = _jpeg_symbols(comp_blocks[0],
-                            restart * bpm[0] if restart else 0)
-    chr_ops = [_jpeg_symbols(cb, restart * bpm[1 + i] if restart else 0)
-               for i, cb in enumerate(comp_blocks[1:])]
-    dc0, ac0 = _fixed8_table(lum_ops[0]), _fixed8_table(lum_ops[1])
-    tabs = [(0, 0, dc0), (1, 0, ac0)]
-    if chr_ops:
-        dsy = set().union(*[c[0] for c in chr_ops])
-        asy = set().union(*[c[1] for c in chr_ops])
-        dc1, ac1 = _fixed8_table(dsy), _fixed8_table(asy)
-        tabs += [(0, 1, dc1), (1, 1, ac1)]
-
-    def seg(marker, data):
-        return bytes([0xFF, marker]) + struct.pack(">H", len(data) + 2) \
-            + data
-
-    out = bytearray(b"\xff\xd8")
-    for tid, q in enumerate(qts):
-        out += seg(0xDB, bytes([tid]) + bytes(int(x) for x in q))
-    nf = len(planes)
-    sof = struct.pack(">BHHB", 8, H, W, nf)
-    for ci in range(nf):
-        sh, sv = sampling[ci]
-        sof += bytes([ci + 1, (sh << 4) | sv, min(ci, 1)])
-    out += seg(0xC0, sof)
-    for cls, tid, (bits, vals, _) in tabs:
-        out += seg(0xC4, bytes([(cls << 4) | tid]) + bits + vals)
-    if restart:
-        out += seg(0xDD, struct.pack(">H", restart))
-    sos = bytes([nf])
-    for ci in range(nf):
-        t = min(ci, 1)
-        sos += bytes([ci + 1, (t << 4) | t])
-    sos += bytes([0, 63, 0])
-    out += seg(0xDA, sos)
-
-    # interleave the per-component op streams MCU by MCU
-    streams = [lum_ops[2]] + [c[2] for c in chr_ops]
-    ptrs = [0] * nf
-    enc = {0: (dc0[2], ac0[2])}
-    if chr_ops:
-        enc[1] = (dc1[2], ac1[2])
-    wr = _JpegWriter()
-    blocks_per_mcu = bpm
-    rst = 0
-    for mcu in range(mcux * mcuy):
-        if restart and mcu and mcu % restart == 0:
-            wr.flush()
-            out += wr.out
-            wr = _JpegWriter()
-            out += bytes([0xFF, 0xD0 + (rst & 7)])
-            rst += 1
-            # DC-predictor resets are already baked into the op streams
-            # (_jpeg_symbols reset_every)
-        for ci in range(nf):
-            dcmap, acmap = enc[min(ci, 1)]
-            done = 0
-            while done < blocks_per_mcu[ci]:
-                op = streams[ci][ptrs[ci]]
-                ptrs[ci] += 1
-                if op[0] == "dc":
-                    _, s, v = op
-                    wr.put(dcmap[s], 8)
-                    if s:
-                        wr.put(v & ((1 << s) - 1), s)
-                elif op[0] == "ac":
-                    _, sym, sz, vv = op
-                    wr.put(acmap[sym], 8)
-                    if sz:
-                        wr.put(vv & ((1 << sz) - 1), sz)
-                else:
-                    done += 1
-    wr.flush()
-    out += wr.out
-    out += b"\xff\xd9"
-    return bytes(out), expected
-
-
-def test_jpeg_decode_444():
-    """Baseline 4:4:4 JPEG decodes pixel-exact against the expected
-    image derived independently from the quantized coefficients."""
-    rng = np.random.default_rng(7)
-    img = rng.integers(0, 256, (24, 17, 3), np.uint8)
-    payload, expected = _make_jpeg(img)
-    got = ops._decode_jpeg(payload)
-    assert np.array_equal(got, expected)
-    # lossy but sane: reconstruction stays close to the source
-    assert np.abs(got.astype(int) - img.astype(int)).mean() < 24
-
-
-def test_jpeg_decode_420_restart():
-    """4:2:0 chroma subsampling + restart intervals (DC predictor
-    resets, RST markers, bit-buffer flushes) decode pixel-exact."""
-    rng = np.random.default_rng(8)
-    img = rng.integers(0, 256, (33, 22, 3), np.uint8)
-    payload, expected = _make_jpeg(img, subsample=True, restart=2)
-    assert np.array_equal(ops._decode_jpeg(payload), expected)
-    payload2, expected2 = _make_jpeg(img, subsample=True)
-    assert np.array_equal(ops._decode_jpeg(payload2), expected2)
-
-
-def test_jpeg_decode_grayscale_and_rejects():
-    rng = np.random.default_rng(9)
-    gray = rng.integers(0, 256, (12, 19), np.uint8)
-    payload, expected = _make_jpeg(gray, gray=True)
-    assert np.array_equal(ops._decode_jpeg(payload), expected)
-    # progressive (SOF2) is rejected, not mis-decoded
-    prog = payload.replace(b"\xff\xc0", b"\xff\xc2", 1)
-    with pytest.raises(ValueError):
-        ops._decode_jpeg(prog)
-    with pytest.raises(ValueError):
-        ops._decode_jpeg(b"not a jpeg at all")
-
-
-def test_image_resize_stage_decodes_jpeg():
-    """The actor-pool stage consumes a real JPEG payload end to end:
-    decode -> grayscale -> area resize -> fixed-length grid."""
-    rng = np.random.default_rng(10)
-    img = rng.integers(0, 256, (40, 40, 3), np.uint8)
-    payload, expected = _make_jpeg(img)
-    stage = ops.ImageResizeStage(h=8, w=8, use_real_decoder=True)
-    grid = stage.decode_image(payload)
-    assert grid.shape == (64,)
-    ref = ops._area_resize(expected.astype(np.float64).mean(axis=2),
-                           8, 8) / 255.0
-    assert np.allclose(grid, ref.reshape(-1))
-
-
-def test_wav_decode_real(ray_session, docs_dir):
-    """The pure-numpy WAV decoder is sample-exact against the stdlib
-    ``wave`` encoder for 16-bit mono/stereo and 8-bit payloads, and the
-    audio pipeline emits fixed-length feature rows."""
-    import io
-    import wave
-
-    def encode(samples: "np.ndarray", ch: int, width: int,
-               rate: int = 8000) -> bytes:
-        buf = io.BytesIO()
-        w = wave.open(buf, "wb")
-        w.setnchannels(ch)
-        w.setsampwidth(width)
-        w.setframerate(rate)
-        if width == 2:
-            w.writeframes(samples.astype("<i2").tobytes())
-        else:
-            w.writeframes(samples.astype(np.uint8).tobytes())
-        w.close()
-        return buf.getvalue()
-
-    rng = np.random.default_rng(9)
-    mono = rng.integers(-32768, 32768, 480, np.int64)
-    got, rate = ops._decode_wav(encode(mono, 1, 2))
-    assert rate == 8000
-    assert np.allclose(got, mono / 32768.0)
-    stereo = rng.integers(-32768, 32768, 480, np.int64)
-    got2, _ = ops._decode_wav(encode(stereo, 2, 2))
-    assert np.allclose(got2, (stereo.reshape(-1, 2) / 32768.0).mean(1))
-    eight = rng.integers(0, 256, 100, np.int64)
-    got3, _ = ops._decode_wav(encode(eight, 1, 1))
-    assert np.allclose(got3, (eight - 128.0) / 128.0)
-    # synth payloads are real RIFF and round-trip through the stage
-    wavb = ops._synth_wav(b"hello")
-    x = ops._decode_wav(wavb)[0]
-    assert x.size == 5 * 32 and np.abs(x).max() <= 1.0
-    stage = ops.AudioFeatureStage(n_windows=4)
-    import pyarrow as pa
-    out = stage(pa.table({"item_id": pa.array([1, 2], pa.int64()),
-                          "payload": pa.array([wavb, b"rawbytes"],
-                                              pa.binary())}))
-    feats = out.column("audio_features").to_pylist()
-    assert all(len(f) == 8 for f in feats)
-    with pytest.raises(NotImplementedError):
-        ops.AudioFeatureStage(use_real_decoder=True).features(b"OggS...")
-    # the pipeline shape over the documents table
-    res = to_arrow(ops.multimodal_audio_features(docs_dir, n_windows=3))
-    assert res.num_rows == 6
-    assert all(len(f) == 6 for f in
-               res.column("audio_features").to_pylist())
-
-
-def test_image_decode_real_formats():
-    """The pure-numpy PPM/BMP decoders are pixel-exact and the area
-    resize equals the hand-computed pooled means."""
-    rng = np.random.default_rng(3)
-    img = rng.integers(0, 256, (6, 10, 3), np.uint8)
-    assert np.array_equal(ops._decode_ppm(_make_ppm(img)), img)
-    assert np.array_equal(ops._decode_bmp(_make_bmp(img)), img)
-    stage = ops.ImageResizeStage(h=2, w=2, use_real_decoder=True)
-    got = stage.grid(_make_ppm(img))
-    gray = img.astype(np.float64).mean(axis=2)
-    want = np.array([
-        gray[:3, :5].mean(), gray[:3, 5:].mean(),
-        gray[3:, :5].mean(), gray[3:, 5:].mean()]) / 255.0
-    assert np.allclose(got, want)
-    assert np.allclose(stage.grid(_make_bmp(img)), want)
-    # odd sizes: nearly-even segments, no crash, mass preserved
-    odd = rng.integers(0, 256, (7, 5, 3), np.uint8)
-    g = ops.ImageResizeStage(h=3, w=3, use_real_decoder=True) \
-        .grid(_make_ppm(odd))
-    assert g.shape == (9,) and 0.0 <= g.min() and g.max() <= 1.0
 
 
 def _brute_cdc_pairs(texts, k=8, sample_mod=64, min_shared=2,
@@ -3065,114 +2549,6 @@ def test_corpus_stats(ray_session, docs_dir):
     assert got["total_tokens"] == [sum(toks)]
     assert got["max_chars"] == [max(chars)]
     assert got["min_chars"] == [min(chars)]
-
-
-# ---------------------------------------------------------------------------
-# y4m video decode (real)
-# ---------------------------------------------------------------------------
-
-def _make_y4m(w, h, frames, cs=b"444", frame_params=False):
-    """Independent test-side YUV4MPEG2 writer (not the library's synth).
-
-    ``frames`` is a list of (y, cb, cr) uint8 planes (cb/cr None for
-    mono); ``frame_params`` exercises per-frame FRAME parameter lines."""
-    out = [b"YUV4MPEG2 W%d H%d F30:1 Ip A1:1 C%s\n" % (w, h, cs)]
-    for y, cb, cr in frames:
-        marker = b"FRAME Ttest\n" if frame_params else b"FRAME\n"
-        data = y.tobytes()
-        if cb is not None:
-            data += cb.tobytes() + cr.tobytes()
-        out.append(marker + data)
-    return b"".join(out)
-
-
-def _ref_yuv_rgb(yv, cbv, crv):
-    """Per-pixel scalar reference for limited-range BT.601 -> RGB."""
-    import math
-    kr, kb = 0.299, 0.114
-    kg = 1.0 - kr - kb
-    y = (yv - 16.0) * (255.0 / 219.0)
-    pb = (cbv - 128.0) * (255.0 / 224.0)
-    pr = (crv - 128.0) * (255.0 / 224.0)
-    r = y + 2.0 * (1.0 - kr) * pr
-    b = y + 2.0 * (1.0 - kb) * pb
-    g = (y - kr * r - kb * b) / kg
-
-    def q(v):
-        return int(math.floor(min(max(v, 0.0), 255.0) + 0.5))
-    return q(r), q(g), q(b)
-
-
-def test_y4m_decode_pixel_exact():
-    rng = np.random.default_rng(7)
-    w, h = 8, 6
-    for cs, sx, sy in [(b"444", 1, 1), (b"422", 2, 1),
-                       (b"420jpeg", 2, 2), (b"420mpeg2", 2, 2)]:
-        y = rng.integers(0, 256, (h, w), dtype=np.uint8)
-        cb = rng.integers(0, 256, (h // sy, w // sx), dtype=np.uint8)
-        cr = rng.integers(0, 256, (h // sy, w // sx), dtype=np.uint8)
-        payload = _make_y4m(w, h, [(y, cb, cr)], cs=cs, frame_params=True)
-        (got,) = ops._decode_y4m(payload)
-        assert got.shape == (h, w, 3)
-        for i in range(h):
-            for j in range(w):
-                exp = _ref_yuv_rgb(float(y[i, j]),
-                                   float(cb[i // sy, j // sx]),
-                                   float(cr[i // sy, j // sx]))
-                assert tuple(got[i, j]) == exp, (cs, i, j)
-    # mono: chroma neutral at 128
-    y = rng.integers(0, 256, (h, w), dtype=np.uint8)
-    (got,) = ops._decode_y4m(_make_y4m(w, h, [(y, None, None)], cs=b"mono"))
-    for i in range(h):
-        for j in range(w):
-            assert tuple(got[i, j]) == _ref_yuv_rgb(float(y[i, j]),
-                                                    128.0, 128.0)
-    # rejects
-    with pytest.raises(ValueError):
-        ops._decode_y4m(b"YUV4MPEG2 W8 H6 C411\n")
-    with pytest.raises(ValueError):
-        ops._decode_y4m(b"MPEG W8 H6\n")
-
-
-def test_y4m_frame_sampling_and_ppm_roundtrip():
-    rng = np.random.default_rng(11)
-    w, h = 4, 4
-    frames = []
-    for _ in range(10):
-        frames.append((rng.integers(0, 256, (h, w), dtype=np.uint8),
-                       rng.integers(0, 256, (h // 2, w // 2), np.uint8),
-                       rng.integers(0, 256, (h // 2, w // 2), np.uint8)))
-    payload = _make_y4m(w, h, frames, cs=b"420jpeg")
-    full = ops._decode_y4m(payload)
-    assert len(full) == 10
-    sel = ops._decode_y4m(payload, n_samples=4)
-    # evenly spaced indices i*total//n
-    assert [np.array_equal(s, full[i])
-            for s, i in zip(sel, [0, 2, 5, 7])] == [True] * 4
-    # the stage emits PPM frames that round-trip through the PPM decoder
-    stage = ops.FrameSampleStage(n_frames=4, use_real_decoder=True)
-    ppms = stage.decode_video(payload)
-    assert len(ppms) == 4
-    for pb, i in zip(ppms, [0, 2, 5, 7]):
-        assert np.array_equal(ops._decode_ppm(pb), full[i])
-    # synth stream decodes too and is deterministic
-    s1 = ops._synth_y4m(b"hello world", n_frames=5)
-    assert s1 == ops._synth_y4m(b"hello world", n_frames=5)
-    assert len(ops._decode_y4m(s1)) == 5
-
-
-def test_multimodal_video_frames_pipeline(ray_session, docs_dir):
-    out = to_arrow(ops.multimodal_video_frames(docs_dir, n_frames=3))
-    df = out.to_pandas().sort_values(["item_id", "frame_idx"])
-    # every doc yields exactly n_frames rows with per-frame 4x4 grids
-    assert list(df["item_id"]) == sorted([i for i in range(6)] * 3)
-    assert list(df["frame_idx"]) == [0, 1, 2] * 6
-    for g in df["grid"]:
-        assert len(g) == 16
-        assert all(0.0 <= v <= 1.0 for v in g)
-    # frames differ across frame_idx (the synth drifts per frame)
-    g0 = df[df["item_id"] == 0].reset_index(drop=True)
-    assert not np.allclose(list(g0["grid"][0]), list(g0["grid"][1]))
 
 
 def test_inverted_index_bruteforce(ray_session, docs_dir):

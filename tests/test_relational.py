@@ -222,22 +222,15 @@ def test_asof_join_matches_merge_asof(ray_session, asof_events_dir):
     assert by_left.loc[9031, "lag_us"] == 5 * 3600 * 1_000_000 + 1800000000
 
 
-def test_range_join_matches_bruteforce(ray_session, asof_events_dir):
-    """Bucket-replicated range join == the brute-force per-user cross
-    product filtered to the window, on a fixture with a hot user, a
-    window (1 h) that forces cross-bucket pairs, equal-ts rows (strict
-    upper bound must drop them and self-pairs), and coarse-hash
-    collisions (n_groups is small relative to active buckets)."""
+def _range_join_bruteforce(events_dir, left_type, window_hours):
+    """The per-user cross product filtered to the window, sorted."""
     import pandas as pd
-    got = to_arrow(ops.range_join(asof_events_dir, left_type="purchase",
-                                  window_hours=1)).to_pandas()
-    ev = pq.read_table(
-        str(asof_events_dir) + "/events.parquet").to_pandas()
-    L = ev[ev.event_type == "purchase"]
+    ev = pq.read_table(events_dir + "/events.parquet").to_pandas()
+    L = ev[ev.event_type == left_type]
     m = L.merge(ev, on="user_id", suffixes=("_l", "_r"))
-    w = pd.Timedelta(hours=1)
+    w = pd.Timedelta(hours=window_hours)
     m = m[(m["ts_r"] >= m["ts_l"] - w) & (m["ts_r"] < m["ts_l"])]
-    ref = pd.DataFrame({
+    return pd.DataFrame({
         "user_id": m["user_id"],
         "left_id": m["event_id_l"],
         "right_id": m["event_id_r"],
@@ -245,6 +238,22 @@ def test_range_join_matches_bruteforce(ray_session, asof_events_dir):
         .round().astype("int64"),
     }).sort_values(["user_id", "left_id", "right_id"]) \
         .reset_index(drop=True)
+
+
+def test_range_join_matches_bruteforce(ray_session, asof_events_dir,
+                                       tmp_path):
+    """Bucket-replicated range join == the brute-force per-user cross
+    product filtered to the window, on a fixture with a hot user, a
+    window (1 h) that forces cross-bucket pairs, equal-ts rows (strict
+    upper bound must drop them and self-pairs), and coarse-hash
+    collisions (n_groups is small relative to active buckets).  A second
+    fixture puts 300 users' events on 1969-12-31: negative timestamps
+    must not merge the users that share a coarse group."""
+    import numpy as np
+    import pandas as pd
+    got = to_arrow(ops.range_join(asof_events_dir, left_type="purchase",
+                                  window_hours=1)).to_pandas()
+    ref = _range_join_bruteforce(asof_events_dir, "purchase", 1)
     got = got.sort_values(["user_id", "left_id", "right_id"]) \
         .reset_index(drop=True)
     assert len(ref) > 500            # the hot user really produces pairs
@@ -253,6 +262,26 @@ def test_range_join_matches_bruteforce(ray_session, asof_events_dir):
     # equal-ts clicks 9000/9001 (strict upper bound) or itself
     assert 9002 not in set(got["left_id"]) or \
         not set(got.loc[got["left_id"] == 9002, "right_id"]) & {9000, 9001, 9002}
+
+    rng = np.random.default_rng(5)
+    day = dt.datetime(1969, 12, 31, tzinfo=dt.timezone.utc)
+    n = 300 * 3
+    pq.write_table(pa.table({
+        "event_id": pa.array(np.arange(n), pa.int64()),
+        "user_id": pa.array(np.repeat(np.arange(300), 3), pa.int64()),
+        "ts": pa.array([day + dt.timedelta(minutes=int(m))
+                        for m in rng.integers(0, 24 * 60, n)],
+                       pa.timestamp("us")),
+        "event_type": pa.array(rng.choice(["purchase", "click"], n),
+                               pa.string()),
+    }), str(tmp_path / "events.parquet"))
+    got = to_arrow(ops.range_join(str(tmp_path), left_type="purchase",
+                                  window_hours=24)).to_pandas()
+    ref = _range_join_bruteforce(str(tmp_path), "purchase", 24)
+    got = got.sort_values(["user_id", "left_id", "right_id"]) \
+        .reset_index(drop=True)
+    assert len(ref) > 200
+    pd.testing.assert_frame_equal(got, ref, check_dtype=False)
 
 
 def test_topk_by_group(ray_session, rel_dir):

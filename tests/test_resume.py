@@ -115,17 +115,33 @@ def test_build_kg_ignores_parts_of_a_killed_obs_write(ray_session,
 
 def test_kg_workdir_keyed_by_code_and_corpus(tmp_path, monkeypatch):
     """The per-sf KG cache of ``__ray_entry__`` is only reused for the
-    same package sources and the same corpus files."""
+    same package sources and the same corpus files, and a new key prunes
+    the sf's older cache directories."""
     import __ray_entry__ as entry
 
     turns = tmp_path / "corpus" / "turns.parquet"
     turns.mkdir(parents=True)
     part = turns / "part-0000.parquet"
     part.write_bytes(b"x" * 10)
+    root = tmp_path / "work"
+    root.mkdir()
     monkeypatch.setattr(entry, "_corpus", lambda sf: str(tmp_path / "corpus"))
+    monkeypatch.setattr(entry, "_WORK_ROOT", str(root))
+    stale = ["sf0.01", "sf0.01-0123456789abcdef"]
+    kept = ["sf0.1-0123456789abcdef", "sf0.01-notes", "sf0.01-0123456789abcdef0"]
+    for f in stale + kept:
+        (root / f / "obs").mkdir(parents=True)
     first = entry._workdir("/data/sf0.01")
+    assert os.path.dirname(first) == str(root)
+    assert sorted(os.listdir(root)) == sorted(kept)
     assert entry._workdir("/data/sf0.01/") == first
     assert os.path.basename(first).startswith("sf0.01-")
+    # an existing key's directory is reused and its siblings are left alone
+    os.mkdir(first)
+    (root / stale[1]).mkdir()
+    assert entry._workdir("/data/sf0.01") == first
+    assert sorted(os.listdir(root)) == sorted(
+        kept + [stale[1], os.path.basename(first)])
 
     digest = entry._package_digest()
     assert len(digest) == 64

@@ -3,9 +3,8 @@
 Beyond the reference's own operators, these are the operations a 100 TB
 training-data pipeline needs (task brief): deduplication (exact, MinHash+LSH,
 SimHash, n-gram Jaccard, embedding-cosine), similarity search (brute-force
-and LSH-bucketed ANN), text analysis (language id, quality scoring, token
-counting, fingerprinting), and multimodal decode plumbing (stubbed decoder,
-real Ray-side schema/batching).
+and LSH-bucketed ANN), and text analysis (language id, quality scoring,
+token counting, fingerprinting).
 
 Design notes per op:
  * everything is ``map_batches`` over Arrow/pandas/numpy batches — no
@@ -568,7 +567,9 @@ class MinHashStage:
 
     def __init__(self, num_perm=128, bands=32, shingle=3, seed=17,
                  salt_mask: int | None = None):
-        assert num_perm % bands == 0
+        if num_perm % bands:
+            raise ValueError(f"num_perm={num_perm} is not a multiple of "
+                             f"bands={bands}")
         self.mh = MinHasher(num_perm, shingle, seed)
         self.bands = bands
         self.rows_per_band = num_perm // bands
@@ -1547,860 +1548,6 @@ def ann_lsh_buckets(sf_dir: str, n_planes: int = 12):
                              concurrency=_concurrency())
     return (buckets.groupby("bucket").aggregate(Count(alias_name="n"))
             .sort("bucket"))
-
-
-# ---------------------------------------------------------------------------
-# multimodal plumbing (decoder stubbed; Ray-side schema/batching real)
-# ---------------------------------------------------------------------------
-
-class MultimodalFeatureStage:
-    """Actor-pool stage for opaque binary payloads.
-
-    Real media decoding needs image/audio libraries that are not in this
-    container; ``decode`` is therefore a clearly-marked stub.  The
-    deterministic fallback featurizer (byte histogram + length stats) keeps
-    the schema, batch sizing and actor plumbing real and testable."""
-
-    PAYLOAD_KIND = "binary"
-
-    def __init__(self, use_real_decoder: bool = False):
-        self.use_real_decoder = use_real_decoder
-
-    def decode(self, payload: bytes):
-        raise NotImplementedError(
-            "media decoding requires PIL/ffmpeg which are not available in "
-            "this environment; plug a real decoder here")
-
-    def featurize(self, payload: bytes) -> np.ndarray:
-        if self.use_real_decoder:
-            return self.decode(payload)
-        hist = np.bincount(np.frombuffer(payload, np.uint8) >> 4,
-                           minlength=16).astype(np.float64)
-        total = max(1.0, hist.sum())
-        return hist / total
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(0).to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        feats = np.stack([self.featurize(p) for p in payloads])
-        return pa.table({
-            "item_id": pa.array(ids, pa.int64()),
-            "n_bytes": pa.array([len(p) for p in payloads], pa.int64()),
-            "features": pa.array(list(feats),
-                                 pa.list_(pa.float64())),
-        })
-
-
-class FrameSampleStage:
-    """Actor-pool stage: opaque video payload -> one row per sampled frame.
-
-    Uncompressed YUV4MPEG2 (y4m) payloads are REALLY decoded with pure
-    numpy (``_decode_y4m``: C420/C422/C444/Cmono, limited-range BT.601,
-    pixel-exact tests) — ``n_frames`` evenly spaced frames are converted
-    to RGB and re-encoded as P6 PPM so downstream image stages
-    (:class:`ImageResizeStage`) can consume them.  Compressed codecs
-    (h264/vp9/...) need ffmpeg, absent from this container, and raise
-    ``NotImplementedError``.  The deterministic fallback treats an
-    arbitrary payload as a byte stream and samples evenly spaced
-    fixed-size windows — keeping the flat-map output layout (item_id,
-    frame_idx, frame_payload), batch sizing and actor plumbing real."""
-
-    def __init__(self, n_frames: int = 4, frame_bytes: int = 64,
-                 use_real_decoder: bool = False):
-        self.n_frames = n_frames
-        self.frame_bytes = frame_bytes
-        self.use_real_decoder = use_real_decoder
-
-    def decode_video(self, payload: bytes):
-        if payload.startswith(b"YUV4MPEG2"):
-            return [_encode_ppm(f)
-                    for f in _decode_y4m(payload, n_samples=self.n_frames)]
-        raise NotImplementedError(
-            "compressed video needs ffmpeg, which is not available in "
-            "this environment (uncompressed y4m is decoded for real); "
-            "plug a codec here")
-
-    def sample(self, payload: bytes) -> list[bytes]:
-        if self.use_real_decoder:
-            return self.decode_video(payload)
-        if not payload:
-            return []
-        step = max(1, len(payload) // self.n_frames)
-        return [payload[i * step:i * step + self.frame_bytes]
-                for i in range(min(self.n_frames,
-                                   (len(payload) + step - 1) // step))]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, fidx, frames = [], [], []
-        for item, payload in zip(batch.column("item_id").to_pylist(),
-                                 batch.column("payload").to_pylist()):
-            for j, fr in enumerate(self.sample(payload)):
-                ids.append(item)
-                fidx.append(j)
-                frames.append(fr)
-        return pa.table({
-            "item_id": pa.array(ids, pa.int64()),
-            "frame_idx": pa.array(fidx, pa.int32()),
-            "frame_payload": pa.array(frames, pa.binary()),
-        })
-
-
-def _decode_wav(payload: bytes) -> tuple[np.ndarray, int]:
-    """RIFF/WAVE PCM (8- or 16-bit, any channel count) -> (mono float64
-    samples in [-1, 1], sample_rate) — pure numpy, real decode (RIFF
-    chunk walk with word alignment, interleaved-channel downmix)."""
-    if payload[:4] != b"RIFF" or payload[8:12] != b"WAVE":
-        raise ValueError("not a RIFF/WAVE payload")
-    pos, fmt, data = 12, None, None
-    while pos + 8 <= len(payload):
-        cid = payload[pos:pos + 4]
-        ln = int.from_bytes(payload[pos + 4:pos + 8], "little")
-        if cid == b"fmt ":
-            fmt = payload[pos + 8:pos + 8 + ln]
-        elif cid == b"data":
-            data = payload[pos + 8:pos + 8 + ln]
-        pos += 8 + ln + (ln & 1)               # chunks are word-aligned
-    if fmt is None or data is None:
-        raise ValueError("truncated WAV")
-    codec = int.from_bytes(fmt[0:2], "little")
-    channels = int.from_bytes(fmt[2:4], "little")
-    rate = int.from_bytes(fmt[4:8], "little")
-    bits = int.from_bytes(fmt[14:16], "little")
-    if codec != 1:
-        raise ValueError("only PCM WAV supported")
-    if bits == 16:
-        x = np.frombuffer(data, "<i2").astype(np.float64) / 32768.0
-    elif bits == 8:                            # 8-bit WAV is unsigned
-        x = (np.frombuffer(data, np.uint8).astype(np.float64)
-             - 128.0) / 128.0
-    else:
-        raise ValueError(f"unsupported bit depth {bits}")
-    n = (x.size // channels) * channels
-    return x[:n].reshape(-1, channels).mean(axis=1), rate
-
-
-class AudioFeatureStage:
-    """Actor-pool stage: audio payload -> per-window [RMS, zero-crossing
-    rate] feature vector (2 · n_windows doubles).
-
-    WAV (RIFF PCM 8/16-bit, mono/stereo) payloads are REALLY decoded
-    with pure numpy (``_decode_wav``, sample-exact tests); compressed
-    codecs (mp3/ogg/flac) need libraries absent from this container and
-    raise ``NotImplementedError``.  The deterministic fallback treats
-    the payload bytes as centred samples so arbitrary payloads keep the
-    output schema real."""
-
-    def __init__(self, n_windows: int = 8, use_real_decoder: bool = False):
-        self.n_windows = n_windows
-        self.use_real_decoder = use_real_decoder
-
-    def decode_audio(self, payload: bytes) -> np.ndarray:
-        if payload[:4] == b"RIFF":
-            return _decode_wav(payload)[0]
-        raise NotImplementedError(
-            "compressed audio codecs need libraries absent from this "
-            "environment; plug a decoder here (PCM WAV is decoded for "
-            "real)")
-
-    def features(self, payload: bytes) -> np.ndarray:
-        if self.use_real_decoder or payload[:4] == b"RIFF":
-            x = self.decode_audio(payload)
-        else:
-            x = (np.frombuffer(payload, np.uint8)
-                 .astype(np.float64) - 128.0) / 128.0
-        k = self.n_windows
-        if x.size < k:
-            x = np.pad(x, (0, k - x.size))
-        edges = (np.arange(k) * x.size) // k
-        sq = np.add.reduceat(x * x, edges)
-        zc = np.add.reduceat(
-            np.pad((np.diff(np.signbit(x))).astype(np.float64), (1, 0)),
-            edges)
-        widths = np.diff(np.append(edges, x.size)).astype(np.float64)
-        return np.concatenate([np.sqrt(sq / widths), zc / widths])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        feats = [self.features(p).tolist() for p in payloads]
-        return pa.table({
-            "item_id": batch.column("item_id"),
-            "n_bytes": pa.array([len(p) for p in payloads], pa.int64()),
-            "audio_features": pa.array(feats, pa.list_(pa.float64())),
-        })
-
-
-def _synth_wav(seed_bytes: bytes, rate: int = 8000) -> bytes:
-    """Deterministic 16-bit mono PCM WAV derived from the payload bytes
-    (each byte becomes a short sine burst) — gives the audio stage REAL
-    RIFF input without shipping audio files."""
-    b = np.frombuffer(seed_bytes[:256] or b"\0", np.uint8)
-    t = np.arange(b.size * 32, dtype=np.float64)
-    freq = 200.0 + 8.0 * np.repeat(b.astype(np.float64), 32)
-    samples = np.round(np.sin(2 * np.pi * freq * t / rate) * 12000) \
-        .astype("<i2")
-    data = samples.tobytes()
-    fmt = (1).to_bytes(2, "little") + (1).to_bytes(2, "little") \
-        + rate.to_bytes(4, "little") + (rate * 2).to_bytes(4, "little") \
-        + (2).to_bytes(2, "little") + (16).to_bytes(2, "little")
-    return (b"RIFF" + (36 + len(data)).to_bytes(4, "little") + b"WAVE"
-            + b"fmt " + (16).to_bytes(4, "little") + fmt
-            + b"data" + len(data).to_bytes(4, "little") + data)
-
-
-def multimodal_audio_features(sf_dir: str, n_windows: int = 8):
-    """Audio featurization pipeline: documents.text deterministically
-    synthesised into real RIFF/PCM WAV payloads (stands in for an audio
-    column), decoded FOR REAL by the actor-pool stage — schema, batch
-    sizing and decode path are the production shape."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def to_wav(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "item_id": batch.column("doc_id"),
-            "payload": pa.array(
-                [_synth_wav(t.encode()) for t in
-                 batch.column("text").to_pylist()], pa.binary()),
-        })
-
-    return (ds.map_batches(to_wav, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(AudioFeatureStage,
-                         fn_constructor_kwargs=dict(n_windows=n_windows),
-                         batch_format="pyarrow", batch_size=64,
-                         zero_copy_batch=True, concurrency=_concurrency()))
-
-
-def _decode_ppm(payload: bytes) -> np.ndarray:
-    """Binary PPM (P6) -> (h, w, 3) uint8 — pure numpy, real decode."""
-    if not payload.startswith(b"P6"):
-        raise ValueError("not a P6 PPM")
-    # header: P6 <w> <h> <maxval> single-whitespace, '#' comments allowed
-    pos, fields = 2, []
-    while len(fields) < 3:
-        while pos < len(payload) and payload[pos:pos + 1].isspace():
-            pos += 1
-        if payload[pos:pos + 1] == b"#":
-            pos = payload.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(payload) and not payload[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(payload[start:pos]))
-    w, h, maxval = fields
-    if maxval > 255:
-        raise ValueError("16-bit PPM unsupported")
-    pos += 1                                # single whitespace after maxval
-    px = np.frombuffer(payload, np.uint8, count=h * w * 3, offset=pos)
-    return px.reshape(h, w, 3)
-
-
-def _decode_bmp(payload: bytes) -> np.ndarray:
-    """Uncompressed 24-bit BMP -> (h, w, 3) uint8 (BGR->RGB, bottom-up
-    row order and 4-byte row padding handled) — pure numpy, real decode."""
-    if not payload.startswith(b"BM"):
-        raise ValueError("not a BMP")
-    off = int.from_bytes(payload[10:14], "little")
-    w = int.from_bytes(payload[18:22], "little", signed=True)
-    h = int.from_bytes(payload[22:26], "little", signed=True)
-    bpp = int.from_bytes(payload[28:30], "little")
-    comp = int.from_bytes(payload[30:34], "little")
-    if bpp != 24 or comp != 0:
-        raise ValueError("only uncompressed 24-bit BMP supported")
-    stride = (w * 3 + 3) & ~3
-    rows = np.frombuffer(payload, np.uint8, count=abs(h) * stride,
-                         offset=off).reshape(abs(h), stride)
-    img = rows[:, :w * 3].reshape(abs(h), w, 3)[..., ::-1]   # BGR -> RGB
-    return img[::-1] if h > 0 else img        # positive h = bottom-up
-
-
-_PNG_SIG = b"\x89PNG\r\n\x1a\n"
-# PNG color type -> samples per pixel
-_PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
-
-
-def _decode_png(payload: bytes) -> np.ndarray:
-    """Non-interlaced 8-bit PNG (grayscale / RGB / gray+alpha / RGBA) ->
-    (h, w, 3) uint8 — stdlib ``zlib`` + numpy, real decode.
-
-    Filters: None/Up are fully vectorised; Sub reduces to a per-lane
-    cumulative sum mod 256; Average/Paeth carry a true per-byte data
-    dependency along x and fall back to a per-pixel loop (image decode
-    is an actor-pool setup path, not a per-batch hot loop — a real
-    deployment plugs libpng here)."""
-    import zlib
-    if not payload.startswith(_PNG_SIG):
-        raise ValueError("not a PNG")
-    pos, idat, hdr = len(_PNG_SIG), [], None
-    while pos + 8 <= len(payload):
-        ln = int.from_bytes(payload[pos:pos + 4], "big")
-        typ = payload[pos + 4:pos + 8]
-        data = payload[pos + 8:pos + 8 + ln]
-        if typ == b"IHDR":
-            hdr = data
-        elif typ == b"IDAT":
-            idat.append(data)
-        elif typ == b"IEND":
-            break
-        pos += 12 + ln                        # len + type + data + crc
-    if hdr is None or not idat:
-        raise ValueError("truncated PNG")
-    w = int.from_bytes(hdr[0:4], "big")
-    h = int.from_bytes(hdr[4:8], "big")
-    depth, ctype, comp, filt, interlace = hdr[8:13]
-    if depth != 8 or ctype not in _PNG_CHANNELS or comp or filt \
-            or interlace:
-        raise ValueError("only 8-bit non-interlaced gray/RGB/A PNGs")
-    ch = _PNG_CHANNELS[ctype]
-    stride = w * ch
-    raw = np.frombuffer(zlib.decompress(b"".join(idat)), np.uint8)
-    if raw.size != h * (1 + stride):
-        raise ValueError("PNG data size mismatch")
-    raw = raw.reshape(h, 1 + stride)
-    ftypes, data = raw[:, 0], raw[:, 1:].astype(np.int32)
-    out = np.zeros((h, stride), np.int32)
-    prev = np.zeros(stride, np.int32)
-    for y in range(h):
-        f, row = int(ftypes[y]), data[y]
-        if f == 0:                             # None
-            cur = row
-        elif f == 1:                           # Sub: per-lane cumsum
-            cur = row.copy()
-            for r in range(ch):
-                cur[r::ch] = np.cumsum(cur[r::ch]) & 0xFF
-        elif f == 2:                           # Up
-            cur = (row + prev) & 0xFF
-        elif f == 3:                           # Average
-            cur = row.copy()
-            for x in range(stride):
-                left = cur[x - ch] if x >= ch else 0
-                cur[x] = (cur[x] + ((left + prev[x]) >> 1)) & 0xFF
-        elif f == 4:                           # Paeth
-            cur = row.copy()
-            for x in range(stride):
-                a = cur[x - ch] if x >= ch else 0
-                b = int(prev[x])
-                c = int(prev[x - ch]) if x >= ch else 0
-                p = a + b - c
-                da, db, dc = abs(p - a), abs(p - b), abs(p - c)
-                pred = a if (da <= db and da <= dc) \
-                    else (b if db <= dc else c)
-                cur[x] = (cur[x] + pred) & 0xFF
-        else:
-            raise ValueError(f"bad PNG filter type {f}")
-        out[y] = cur
-        prev = cur
-    img = out.astype(np.uint8).reshape(h, w, ch)
-    if ctype == 0:
-        return np.repeat(img, 3, axis=2)
-    if ctype == 4:                             # gray+alpha: drop alpha
-        return np.repeat(img[..., :1], 3, axis=2)
-    return img[..., :3]                        # RGB / RGBA minus alpha
-
-
-_JPEG_ZIGZAG = np.array([
-    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
-    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
-    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
-], np.int64)
-
-# orthonormal 8-point DCT-II basis; IDCT(B) = A.T @ B @ A in float64
-_JPEG_IDCT_A = (np.sqrt(2.0 / 8.0)
-                * np.cos((2 * np.arange(8)[None, :] + 1)
-                         * np.arange(8)[:, None] * np.pi / 16.0))
-_JPEG_IDCT_A[0] /= np.sqrt(2.0)
-
-
-class _JpegBits:
-    """MSB-first bit reader over an already byte-unstuffed segment."""
-
-    def __init__(self, data: bytes):
-        self.d = data
-        self.pos = 0
-        self.buf = 0
-        self.n = 0
-
-    def bits(self, k: int) -> int:
-        while self.n < k:
-            b = self.d[self.pos] if self.pos < len(self.d) else 0
-            self.pos += 1
-            self.buf = (self.buf << 8) | b
-            self.n += 8
-        self.n -= k
-        v = (self.buf >> self.n) & ((1 << k) - 1)
-        return v
-
-    def huff(self, table: dict) -> int:
-        code, ln = 0, 0
-        while ln < 17:
-            code = (code << 1) | self.bits(1)
-            ln += 1
-            sym = table.get((ln, code))
-            if sym is not None:
-                return sym
-        raise ValueError("invalid JPEG Huffman code")
-
-
-def _jpeg_huff_table(bits: bytes, vals: bytes) -> dict:
-    """Canonical JPEG Huffman table -> {(length, code): symbol}."""
-    table, code, k = {}, 0, 0
-    for ln in range(1, 17):
-        for _ in range(bits[ln - 1]):
-            table[(ln, code)] = vals[k]
-            code += 1
-            k += 1
-        code <<= 1
-    return table
-
-
-def _jpeg_extend(v: int, s: int) -> int:
-    return v - (1 << s) + 1 if s and v < (1 << (s - 1)) else v
-
-
-def _decode_jpeg(payload: bytes) -> np.ndarray:
-    """Baseline sequential JFIF JPEG (SOF0, 8-bit, Huffman) ->
-    (h, w, 3) uint8 — pure numpy + a Python bit reader, real decode:
-    marker walk, canonical Huffman, dequantise, dezigzag, float64
-    orthonormal IDCT, sampling-factor chroma upsample, JFIF YCbCr→RGB.
-    Progressive (SOF2) and arithmetic coding are rejected.  The entropy
-    loop is per-coefficient Python (image decode is an actor-pool setup
-    path, not a per-batch hot loop — a real deployment plugs libjpeg
-    here); everything after the coefficients is vectorised."""
-    if payload[:2] != b"\xff\xd8":
-        raise ValueError("not a JPEG")
-    pos = 2
-    qt: dict[int, np.ndarray] = {}
-    huff_dc: dict[int, dict] = {}
-    huff_ac: dict[int, dict] = {}
-    comps = None                       # [(cid, h, v, tq)]
-    H = W = 0
-    restart = 0
-    scan = None
-    while pos + 4 <= len(payload):
-        if payload[pos] != 0xFF:
-            raise ValueError("bad JPEG marker stream")
-        m = payload[pos + 1]
-        if m == 0xD9:                  # EOI
-            break
-        ln = int.from_bytes(payload[pos + 2:pos + 4], "big")
-        seg = payload[pos + 4:pos + 2 + ln]
-        if m == 0xDB:                  # DQT (possibly several tables)
-            i = 0
-            while i < len(seg):
-                prec, tid = seg[i] >> 4, seg[i] & 15
-                i += 1
-                if prec:
-                    q = np.frombuffer(seg[i:i + 128], ">u2").astype(
-                        np.int64)
-                    i += 128
-                else:
-                    q = np.frombuffer(seg[i:i + 64], np.uint8).astype(
-                        np.int64)
-                    i += 64
-                qt[tid] = q
-        elif m == 0xC4:                # DHT (possibly several tables)
-            i = 0
-            while i < len(seg):
-                cls, tid = seg[i] >> 4, seg[i] & 15
-                bits = seg[i + 1:i + 17]
-                n = sum(bits)
-                vals = seg[i + 17:i + 17 + n]
-                (huff_ac if cls else huff_dc)[tid] = \
-                    _jpeg_huff_table(bits, vals)
-                i += 17 + n
-        elif m == 0xC0:                # SOF0 baseline
-            H = int.from_bytes(seg[1:3], "big")
-            W = int.from_bytes(seg[3:5], "big")
-            nc = seg[5]
-            comps = [(seg[6 + 3 * c], seg[7 + 3 * c] >> 4,
-                      seg[7 + 3 * c] & 15, seg[8 + 3 * c])
-                     for c in range(nc)]
-        elif m in (0xC1, 0xC2, 0xC3, 0xC5, 0xC6, 0xC7,
-                   0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF):
-            raise ValueError("only baseline sequential JPEG (SOF0)")
-        elif m == 0xDD:                # DRI
-            restart = int.from_bytes(seg[0:2], "big")
-        elif m == 0xDA:                # SOS
-            ns = seg[0]
-            scan = [(seg[1 + 2 * c], seg[2 + 2 * c] >> 4,
-                     seg[2 + 2 * c] & 15) for c in range(ns)]
-            pos += 2 + ln
-            break
-        pos += 2 + ln
-    if comps is None or scan is None:
-        raise ValueError("truncated JPEG (no SOF0/SOS)")
-
-    # entropy segments: unstuff FF00, split at restart markers FFD0-D7
-    segs, cur = [], bytearray()
-    i = pos
-    while i < len(payload):
-        b = payload[i]
-        if b == 0xFF and i + 1 < len(payload):
-            nxt = payload[i + 1]
-            if nxt == 0x00:
-                cur.append(0xFF)
-                i += 2
-                continue
-            if 0xD0 <= nxt <= 0xD7:
-                segs.append(bytes(cur))
-                cur = bytearray()
-                i += 2
-                continue
-            break                      # EOI or another marker
-        cur.append(b)
-        i += 1
-    segs.append(bytes(cur))
-
-    hmax = max(h for _, h, _, _ in comps)
-    vmax = max(v for _, _, v, _ in comps)
-    mcux = -(-W // (8 * hmax))
-    mcuy = -(-H // (8 * vmax))
-    by_id = {cid: (ch, cv, tq) for cid, ch, cv, tq in comps}
-    planes = {cid: np.zeros((mcuy * cv * 8, mcux * ch * 8), np.float64)
-              for cid, (ch, cv, _) in by_id.items()}
-    dc_prev = {cid: 0 for cid, _, _ in scan}
-    n_mcus = mcux * mcuy
-    per_seg = restart if restart else n_mcus
-    mcu = 0
-    for seg_bytes in segs:
-        br = _JpegBits(seg_bytes)
-        for cid in dc_prev:
-            dc_prev[cid] = 0
-        for _ in range(min(per_seg, n_mcus - mcu)):
-            my, mx = divmod(mcu, mcux)
-            for cid, td, ta in scan:
-                ch, cv, tq = by_id[cid]
-                q = qt[tq]
-                for v in range(cv):
-                    for h in range(ch):
-                        zz = np.zeros(64, np.int64)
-                        s = br.huff(huff_dc[td])
-                        diff = _jpeg_extend(br.bits(s), s) if s else 0
-                        dc_prev[cid] += diff
-                        zz[0] = dc_prev[cid]
-                        k = 1
-                        while k < 64:
-                            rs = br.huff(huff_ac[ta])
-                            r, sz = rs >> 4, rs & 15
-                            if sz == 0:
-                                if r == 15:   # ZRL: 16 zeros
-                                    k += 16
-                                    continue
-                                break         # EOB
-                            k += r
-                            zz[k] = _jpeg_extend(br.bits(sz), sz)
-                            k += 1
-                        blk = np.zeros(64, np.float64)
-                        blk[_JPEG_ZIGZAG] = (zz * q).astype(np.float64)
-                        blk = blk.reshape(8, 8)
-                        pix = _JPEG_IDCT_A.T @ blk @ _JPEG_IDCT_A
-                        y0 = (my * cv + v) * 8
-                        x0 = (mx * ch + h) * 8
-                        planes[cid][y0:y0 + 8, x0:x0 + 8] = pix
-            mcu += 1
-    out = []
-    for cid, _, _ in scan:
-        ch, cv, _ = by_id[cid]
-        pl = planes[cid]
-        pl = np.repeat(np.repeat(pl, vmax // cv, axis=0),
-                       hmax // ch, axis=1)
-        out.append(pl[:H, :W] + 128.0)
-    if len(out) == 1:
-        g = np.clip(np.round(out[0]), 0, 255).astype(np.uint8)
-        return np.repeat(g[:, :, None], 3, axis=2)
-    y, cb, cr = out[0], out[1] - 128.0, out[2] - 128.0
-    r = y + 1.402 * cr
-    g = y - 0.344136 * cb - 0.714136 * cr
-    b = y + 1.772 * cb
-    rgb = np.stack([r, g, b], axis=2)
-    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
-
-
-def _area_resize(gray: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Mean-pool a 2-D array onto an (h, w) grid (nearly-even segments
-    via reduceat) — the downsample a real feature extractor would use."""
-    H, W = gray.shape
-    ri = (np.arange(h) * H) // h
-    ci = (np.arange(w) * W) // w
-    pooled = np.add.reduceat(np.add.reduceat(gray.astype(np.float64),
-                                             ri, axis=0), ci, axis=1)
-    rc = np.diff(np.append(ri, H)).astype(np.float64)
-    cc = np.diff(np.append(ci, W)).astype(np.float64)
-    return pooled / rc[:, None] / cc[None, :]
-
-
-def _encode_ppm(img: np.ndarray) -> bytes:
-    """(h, w, 3) uint8 -> binary PPM P6 bytes (inverse of _decode_ppm)."""
-    h, w = img.shape[:2]
-    return (b"P6\n%d %d\n255\n" % (w, h)
-            + np.ascontiguousarray(img, np.uint8).tobytes())
-
-
-# YUV4MPEG2 colorspace tag -> (chroma x-subsample, y-subsample); the three
-# C420 variants differ only in chroma SITING, which nearest-neighbour
-# reconstruction does not distinguish.  None = luma-only stream.
-_Y4M_SUBSAMPLE = {b"420jpeg": (2, 2), b"420mpeg2": (2, 2),
-                  b"420paldv": (2, 2), b"420": (2, 2),
-                  b"422": (2, 1), b"444": (1, 1), b"mono": None}
-
-
-def _decode_y4m(payload: bytes, n_samples: int | None = None
-                ) -> list[np.ndarray]:
-    """YUV4MPEG2 (y4m) -> list of (h, w, 3) uint8 RGB frames — pure
-    numpy, real decode.
-
-    Handles C420jpeg/C420mpeg2/C420paldv/C422/C444/Cmono planar streams
-    and per-frame FRAME parameter lines.  Chroma is reconstructed by
-    nearest-neighbour (sample replication); YCbCr -> RGB uses the
-    limited-range ("studio swing": Y 16-235, C 16-240) BT.601 matrix the
-    y4m convention implies, with coefficients derived exactly from
-    Kr=0.299 / Kb=0.114 and round-half-up after clipping.
-
-    When ``n_samples`` is given, only ``n_samples`` evenly spaced frames
-    (indices ``i*total//n``) are converted — the header walk still has to
-    touch every FRAME marker (they carry variable-length parameter
-    lines), but that is O(frames) slicing, not pixel work."""
-    nl = payload.index(b"\n")
-    fields = payload[:nl].split(b" ")
-    if fields[0] != b"YUV4MPEG2":
-        raise ValueError("not a YUV4MPEG2 stream")
-    w = h = None
-    cs = b"420jpeg"                     # the spec's default colorspace
-    for f in fields[1:]:
-        if f[:1] == b"W":
-            w = int(f[1:])
-        elif f[:1] == b"H":
-            h = int(f[1:])
-        elif f[:1] == b"C":
-            cs = f[1:]
-    if w is None or h is None:
-        raise ValueError("y4m header missing W/H")
-    if cs not in _Y4M_SUBSAMPLE:
-        raise ValueError(f"unsupported y4m colorspace C{cs.decode()}")
-    sub = _Y4M_SUBSAMPLE[cs]
-    if sub is None:
-        frame_bytes = w * h
-    else:
-        sx, sy = sub
-        if w % sx or h % sy:
-            raise ValueError("frame dims not divisible by subsampling")
-        cw, chh = w // sx, h // sy
-        frame_bytes = w * h + 2 * cw * chh
-    # walk FRAME markers (each may carry params up to its newline)
-    offsets, pos = [], nl + 1
-    while pos < len(payload):
-        if payload[pos:pos + 5] != b"FRAME":
-            raise ValueError("corrupt y4m: expected FRAME marker")
-        data0 = payload.index(b"\n", pos) + 1
-        offsets.append(data0)
-        pos = data0 + frame_bytes
-    if n_samples is not None and offsets:
-        total = len(offsets)
-        sel = sorted({i * total // n_samples
-                      for i in range(min(n_samples, total))})
-        offsets = [offsets[i] for i in sel]
-    frames = []
-    for off in offsets:
-        buf = np.frombuffer(payload, np.uint8, count=frame_bytes,
-                            offset=off)
-        yp = buf[:w * h].reshape(h, w).astype(np.float64)
-        if sub is None:
-            cb = cr = np.full((h, w), 128.0)
-        else:
-            cb = buf[w * h:w * h + cw * chh].reshape(chh, cw)
-            cr = buf[w * h + cw * chh:].reshape(chh, cw)
-            cb = np.repeat(np.repeat(cb, sy, 0), sx, 1).astype(np.float64)
-            cr = np.repeat(np.repeat(cr, sy, 0), sx, 1).astype(np.float64)
-        kr, kb = 0.299, 0.114
-        kg = 1.0 - kr - kb
-        y = (yp - 16.0) * (255.0 / 219.0)
-        pb = (cb - 128.0) * (255.0 / 224.0)
-        pr = (cr - 128.0) * (255.0 / 224.0)
-        r = y + 2.0 * (1.0 - kr) * pr
-        b = y + 2.0 * (1.0 - kb) * pb
-        g = (y - kr * r - kb * b) / kg
-        rgb = np.clip(np.stack([r, g, b], axis=2), 0.0, 255.0)
-        frames.append(np.floor(rgb + 0.5).astype(np.uint8))
-    return frames
-
-
-def _synth_y4m(seed_bytes: bytes, w: int = 16, h: int = 12,
-               n_frames: int = 6) -> bytes:
-    """Deterministic C420 YUV4MPEG2 stream derived from the payload bytes
-    (luma tiles the bytes, chroma drifts per frame) — gives the video
-    stage REAL y4m input without shipping media files."""
-    b = np.frombuffer(seed_bytes[:256] or b"\0", np.uint8)
-    base = np.resize(b, (h, w))
-    cbase = np.resize(b[::-1], (h // 2, w // 2))
-    parts = [b"YUV4MPEG2 W%d H%d F25:1 Ip A1:1 C420jpeg\n" % (w, h)]
-    for k in range(n_frames):
-        yp = (base.astype(np.uint16) + 17 * k) % 256
-        cbp = (cbase.astype(np.uint16) + 5 * k) % 256
-        crp = (cbase.astype(np.uint16)[::-1] + 11 * k) % 256
-        parts.append(b"FRAME\n" + yp.astype(np.uint8).tobytes()
-                     + cbp.astype(np.uint8).tobytes()
-                     + crp.astype(np.uint8).tobytes())
-    return b"".join(parts)
-
-
-class ImageResizeStage:
-    """Actor-pool stage: opaque image payload -> fixed (h*w) feature grid.
-
-    ``decode_image`` REALLY decodes binary PPM ``P6``, 24-bit BMP,
-    8-bit non-interlaced PNG (all five filter types, stdlib zlib) and
-    baseline sequential JPEG (SOF0 Huffman — canonical tables, restart
-    markers, 4:4:4/4:2:0 chroma, float64 IDCT) with pure numpy —
-    pixel-exact, tested against hand-built images and a test-side JPEG
-    encoder — then area-resizes the grayscale to h×w.  The
-    deterministic fallback (mean byte value per cell) keeps the output
-    schema — a fixed-length ``list<double>`` ready for an embedding
-    model — real for arbitrary payloads."""
-
-    def __init__(self, h: int = 8, w: int = 8,
-                 use_real_decoder: bool = False):
-        self.h, self.w = h, w
-        self.use_real_decoder = use_real_decoder
-
-    def decode_image(self, payload: bytes) -> np.ndarray:
-        if payload.startswith(b"P6"):
-            img = _decode_ppm(payload)
-        elif payload.startswith(b"BM"):
-            img = _decode_bmp(payload)
-        elif payload.startswith(_PNG_SIG):
-            img = _decode_png(payload)
-        elif payload.startswith(b"\xff\xd8"):
-            img = _decode_jpeg(payload)
-        else:
-            raise NotImplementedError(
-                "unknown image container; plug a codec here "
-                "(PPM/BMP/PNG/baseline-JPEG are decoded for real)")
-        gray = img.astype(np.float64).mean(axis=2)
-        return (_area_resize(gray, self.h, self.w) / 255.0).reshape(-1)
-
-    def grid(self, payload: bytes) -> np.ndarray:
-        if self.use_real_decoder:
-            return self.decode_image(payload)
-        cells = self.h * self.w
-        buf = np.frombuffer(payload, np.uint8)
-        if buf.size == 0:
-            return np.zeros(cells)
-        pad = (-buf.size) % cells
-        buf = np.pad(buf, (0, pad)).astype(np.float64)
-        return buf.reshape(cells, -1).mean(axis=1) / 255.0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = [self.grid(p).tolist()
-                 for p in batch.column("payload").to_pylist()]
-        return pa.table({
-            "item_id": batch.column("item_id"),
-            "grid": pa.array(feats, pa.list_(pa.float64())),
-        })
-
-
-def multimodal_frame_sample(sf_dir: str, n_frames: int = 4):
-    """Frame-sampling pipeline over opaque binary payloads (documents.text
-    stands in for a video column; small batches for large real payloads)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def to_binary(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "item_id": batch.column("doc_id"),
-            "payload": pc.cast(batch.column("text"), pa.binary()),
-        })
-
-    return (ds.map_batches(to_binary, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(FrameSampleStage,
-                         fn_constructor_kwargs=dict(n_frames=n_frames),
-                         batch_format="pyarrow", batch_size=64,
-                         zero_copy_batch=True, concurrency=_concurrency()))
-
-
-# frame_idx is packed into the low bits of item_id between the frame
-# sampler and the per-frame image stage; 256 frames per item is plenty
-# for a sampler capped at n_frames.
-_VIDEO_FRAME_PACK = 256
-
-
-def multimodal_video_frames(sf_dir: str, n_frames: int = 4,
-                            h: int = 4, w: int = 4):
-    """Full video featurization pipeline, every decode REAL: documents.text
-    deterministically synthesised into uncompressed YUV4MPEG2 payloads
-    (stands in for a video column), frame-sampled by the y4m decoder
-    (``n_frames`` evenly spaced frames -> P6 PPM), then each frame decoded
-    and area-resized to an (h*w) grayscale grid by the image stage — the
-    production video -> frames -> per-frame-embedding shape.
-
-    No SQL oracle (binary media synthesis + pixel math); the decoders are
-    pixel-exact pytest-verified and the pipeline row count is
-    n_docs * n_frames."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def to_y4m(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "item_id": batch.column("doc_id"),
-            "payload": pa.array(
-                [_synth_y4m(t.encode(), n_frames=6) for t in
-                 batch.column("text").to_pylist()], pa.binary()),
-        })
-
-    def pack(batch: pa.Table) -> pa.Table:
-        item = pc.add(pc.multiply(batch.column("item_id"),
-                                  pa.scalar(_VIDEO_FRAME_PACK, pa.int64())),
-                      pc.cast(batch.column("frame_idx"), pa.int64()))
-        return pa.table({"item_id": item,
-                         "payload": batch.column("frame_payload")})
-
-    def unpack(batch: pa.Table) -> pa.Table:
-        packed = batch.column("item_id")
-        return pa.table({
-            "item_id": pc.divide(packed,
-                                 pa.scalar(_VIDEO_FRAME_PACK, pa.int64())),
-            "frame_idx": pc.cast(
-                pc.subtract(packed, pc.multiply(
-                    pc.divide(packed,
-                              pa.scalar(_VIDEO_FRAME_PACK, pa.int64())),
-                    pa.scalar(_VIDEO_FRAME_PACK, pa.int64()))),
-                pa.int32()),
-            "grid": batch.column("grid"),
-        })
-
-    return (ds.map_batches(to_y4m, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(FrameSampleStage,
-                         fn_constructor_kwargs=dict(
-                             n_frames=n_frames, use_real_decoder=True),
-                         batch_format="pyarrow", batch_size=64,
-                         zero_copy_batch=True, concurrency=_concurrency())
-            .map_batches(pack, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(ImageResizeStage,
-                         fn_constructor_kwargs=dict(
-                             h=h, w=w, use_real_decoder=True),
-                         batch_format="pyarrow", batch_size=256,
-                         zero_copy_batch=True, concurrency=_concurrency())
-            .map_batches(unpack, batch_format="pyarrow",
-                         zero_copy_batch=True))
-
-
-def multimodal_features(sf_dir: str):
-    """documents.text re-interpreted as opaque binary payloads — stands in
-    for an image/audio column; small batch size on purpose (large payloads
-    at real scale)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def to_binary(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "item_id": batch.column("doc_id"),
-            "payload": pc.cast(batch.column("text"), pa.binary()),
-        })
-
-    binary = ds.map_batches(to_binary, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return binary.map_batches(MultimodalFeatureStage,
-                              batch_format="pyarrow", batch_size=64,
-                              zero_copy_batch=True,
-                              concurrency=_concurrency())
 
 
 def ann_lsh_query(sf_dir: str, n_queries: int = 8, k: int = 10,
@@ -3448,7 +2595,9 @@ def range_join(sf_dir: str, left_type: str = "error",
       meets in exactly one coarse ``(user, bucket)`` hash group, so no
       dedup pass is needed.
     * within a group, users are densified (``np.unique``) so
-      ``(dense_user << 52) | ts_us`` is one sortable int64 key; a sorted
+      ``dense_user * span + (ts_us - min_ts)`` is one sortable int64 key
+      (``span`` exceeds the group's time range by more than ``W``, so no
+      window reaches into the previous user's keys); a sorted
       ``searchsorted`` pair per left row yields [lo, hi) right-segments,
       expanded to pairs with the standard vectorised segment-arange —
       no Python row loop.
@@ -3507,11 +2656,13 @@ def range_join(sf_dir: str, left_type: str = "error",
         u = g["u"].to_numpy(np.int64)
         ts = g["ts_us"].to_numpy(np.int64)
         eid = g["eid"].to_numpy(np.int64)
-        # ts_us < 2^52 through year ~2112; dense user ids keep the
-        # composite key in int64
-        assert ts.max() < (1 << 52)
         du = np.unique(u, return_inverse=True)[1].astype(np.int64)
-        key = (du << np.int64(52)) | ts
+        n_users, ts_min = int(du.max()) + 1, int(ts.min())
+        span = int(ts.max()) - ts_min + int(w_us) + 1
+        if n_users * span >= 1 << 63:
+            raise ValueError(f"range_join: {n_users} users over a {span} us "
+                             "span overflow the int64 (user, ts) key")
+        key = du * np.int64(span) + (ts - np.int64(ts_min))
         # a coarse-hash collision can co-locate an event's original AND
         # its next-bucket replica — right rows dedupe by the globally
         # unique event_id (pairing ignores the bucket tag)
