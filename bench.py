@@ -224,7 +224,7 @@ def run_scaling(sf_dir: str, repeats: int = 2) -> dict:
 
     The CPU pair defaults to (8, 32); override with GRAFT_SCALE_CPUS="2,8"
     for a low-contention control (the 8->32 pair saturates the single
-    socket's memory bus — see scripts/bandwidth_ceiling.py)."""
+    socket's memory bus)."""
     lo, hi = (int(x) for x in os.environ.get("GRAFT_SCALE_CPUS",
                                              "8,32").split(","))
     out = {}

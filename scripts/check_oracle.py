@@ -1,7 +1,9 @@
 """Local mimic of the driver's correctness gate: run every ``queries()``
 entry at a given sf dir, run the matching ``oracle_sql()`` in DuckDB over
 the same parquet tables, and compare row count + schema + order-insensitive
-values.  Usage: python scripts/check_oracle.py [sf_dir] [query ...]"""
+values.  Each line gives the Ray query's seconds and, for exact oracles,
+the DuckDB oracle's.  Usage: python scripts/check_oracle.py [sf_dir]
+[query ...]"""
 
 import sys
 import time
@@ -65,9 +67,11 @@ def main():
         dt = time.time() - t0
         if name not in oracles:
             print(f"[rows-only] {name}: {len(got)} rows "
-                  f"({dt:.1f}s) cols={list(got.columns)[:8]}")
+                  f"(ray {dt:.1f}s) cols={list(got.columns)[:8]}")
             continue
+        t0 = time.time()
         exp = con.execute(oracles[name]).fetchdf()
+        oracle_dt = time.time() - t0
         ok_rows = len(got) == len(exp)
         ok_cols = sorted(got.columns) == sorted(exp.columns)
         ok_vals = False
@@ -87,7 +91,8 @@ def main():
         if status == "FAIL":
             failures.append(name)
         print(f"[{status}     ] {name}: rows {len(got)}/{len(exp)} "
-              f"cols_ok={ok_cols} vals_ok={ok_vals} ({dt:.1f}s)")
+              f"cols_ok={ok_cols} vals_ok={ok_vals} "
+              f"(ray {dt:.1f}s, oracle {oracle_dt:.1f}s)")
     print("FAILURES:", failures if failures else "none")
     ray.shutdown()
     return 1 if failures else 0

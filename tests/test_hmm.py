@@ -1,4 +1,7 @@
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 
 from weak_supervision_for_ner_ray.constants import POSITIONED_LABELS
 from weak_supervision_for_ner_ray.state import hmm
@@ -346,3 +349,151 @@ def test_o_run_compression_exact_parity():
         assert np.abs(s_dict.start - s_flat.start).max() < 1e-10
         assert np.abs(s_dict.trans - s_flat.trans).max() < 1e-8
         assert np.abs(s_dict.obs - s_flat.obs).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# block kernels: pattern tables and tiles
+# ---------------------------------------------------------------------------
+
+_COLS = ("o_t", "o_s", "o_state", "o_conf")
+
+
+@pytest.fixture(scope="module")
+def corpus_obs(small_corpus):
+    """small_corpus encoded as the pipeline's flat obs rows (conversation
+    sources included), its texts, and params from one oracle EM
+    iteration on it (trained, so ``transmat`` has the grammar's zeros)."""
+    from weak_supervision_for_ner_ray.oracle import Oracle
+    from weak_supervision_for_ner_ray.stages.encode import (ObsRows,
+                                                            encode_layers)
+    turns, _, _ = small_corpus
+    oracle = Oracle()
+    annotated = oracle.annotate(turns)
+    keys = sorted(annotated)
+    n_tok = [len(annotated[k][0]) for k in keys]
+    texts = dict(zip(zip(turns["conv_id"].to_pylist(),
+                         turns["turn_idx"].to_pylist()),
+                     turns["text"].to_pylist()))
+    table = pa.table({
+        "conv_id": [k[0] for k in keys],
+        "turn_idx": pa.array([k[1] for k in keys], pa.int32()),
+        "text": [texts[k] for k in keys],
+        "n_tokens": pa.array(n_tok, pa.int32()),
+        **encode_layers([annotated[k][1] for k in keys], n_tok)})
+    rows = ObsRows(table)
+    params = oracle.train({k: rows.turnobs(i) for i, k in enumerate(keys)},
+                          n_iter=1)
+    return table, rows, params
+
+
+def _with_keep(p, keep):
+    return HMMParams(p.startprob, p.transmat, p.emission_probs,
+                     p.startprob_prior, p.transmat_prior, p.emission_priors,
+                     keep=keep)
+
+
+def test_block_viterbi_matches_viterbi():
+    """Tiled max-plus over each state's predecessors gives the paths of
+    the dense :func:`viterbi`, bit for bit: a structurally sparse
+    transmat, exact ties, all -inf columns, T=1 and a dense transmat."""
+    rng = np.random.default_rng(11)
+    K = hmm.N_STATES
+    sparse = tiny_params()
+    assert [len(g[0]) for g in sparse.viterbi_groups] == [38, 39]
+    # uniform rows over each state's successors: every tie is exact
+    grammar = (sparse.transmat > 0) / (sparse.transmat > 0).sum(
+        axis=1, keepdims=True)
+    tied = HMMParams(sparse.startprob, grammar, sparse.emission_probs)
+    # no O -> O transition: O's first predecessor is not state 0
+    no_self = grammar.copy()
+    no_self[0, 0] = 0.0
+    no_self /= no_self.sum(axis=1, keepdims=True)
+    no_self = HMMParams(sparse.startprob, no_self, sparse.emission_probs)
+    dense = HMMParams(np.full(K, 1 / K), np.full((K, K), 1 / K),
+                      sparse.emission_probs)
+    assert len(dense.viterbi_groups) == 1
+    for p in (sparse, tied, no_self, dense):
+        for T, B in ((1, 5), (2, 3), (9, 16), (30, 4)):
+            ll = rng.integers(-4, 0, (T, B, K)).astype(np.float64)
+            ll[rng.random((T, B, K)) < 0.6] = -np.inf
+            ll[:, :, 0] = np.where(rng.random((T, B)) < 0.2, -np.inf,
+                                   ll[:, :, 0])
+            if T > 2:
+                ll[1, 0] = -np.inf       # every column at t=2 is -inf
+            got = hmm._viterbi_tile(ll, p)
+            for b in range(B):
+                assert np.array_equal(got[:, b], viterbi(ll[:, b], p)[1])
+
+
+def test_pattern_table_ll_is_frame_ll_flat(corpus_obs):
+    """Each turn's ll gathered from the chunk's pattern table equals
+    :func:`frame_ll_flat` of that turn bit for bit, multi-label turns and
+    a keep subset included."""
+    _, rows, trained = corpus_obs
+    cols = [rows.cols[c] for c in _COLS]
+    off = rows.offsets
+    multi = 0
+    for p in (trained, _with_keep(trained, [hmm.BEST_COVERAGE_INDEX,
+                                            hmm.SOURCE_INDICES["wiki_cased"],
+                                            hmm.SOURCE_INDICES["nnp_detector"]
+                                            ])):
+        ch = hmm._Chunk(p, rows.n_tokens, off, *cols)
+        for i in range(len(rows)):
+            pairs = [np.asarray(c[off[i]:off[i + 1]], dt) for c, dt in
+                     zip(cols, (np.int64,) * 3 + (np.float64,))]
+            ll = hmm.frame_ll_flat(int(rows.n_tokens[i]), *pairs, p)[0]
+            lo, hi = ch.off[i], ch.off[i + 1]
+            got = ch.ll[ch.pat[lo:hi]]
+            assert got.tobytes() == ll[ch.kept[lo:hi]].tobytes(), i
+            key = pairs[0] * hmm.N_SOURCES + pairs[1]
+            multi += bool(np.any(key[1:] == key[:-1]))
+        assert ch.n_removed.sum() > 0
+    assert multi > 0
+
+
+def test_block_estep_matches_per_turn(corpus_obs):
+    """:func:`accumulate_block` over the whole chunk, with dedup weights
+    and O-run compression, against per-turn :func:`accumulate`: every
+    statistic within 1e-12 relative, and the m-step params within
+    1e-12."""
+    _, rows, p = corpus_obs
+    weights = np.random.default_rng(4).integers(1, 4, len(rows)) * 1.0
+    ref = SuffStats()
+    for i in range(len(rows)):
+        hmm.accumulate(rows.turnobs(i), p, ref, weight=weights[i])
+    got = SuffStats()
+    defer, buf = np.zeros(hmm.N_STATES), hmm.EmisStatsBuffer()
+    hmm.accumulate_block(p, rows.n_tokens, rows.offsets,
+                         *[rows.cols[c] for c in _COLS], got, weights,
+                         defer_o=defer, emis_buf=buf)
+    buf.apply(got)
+    got.obs[p.keep, :, 0] += defer[None, :]
+    assert got.n_seqs == ref.n_seqs == int(weights.sum())
+    for name, a in ref.to_arrays().items():
+        b = got.to_arrays()[name]
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name
+    pa_, pb = m_step(p, ref), m_step(p, got)
+    for a, b in ((pa_.startprob, pb.startprob), (pa_.transmat, pb.transmat),
+                 (pa_.emission_probs, pb.emission_probs)):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_decode_triple_batch_spans_match_per_turn(corpus_obs):
+    """The fused decode stage's ``ner`` rows, conf included, equal the
+    per-turn :func:`decode_turn` spans on every small_corpus turn."""
+    from weak_supervision_for_ner_ray.data import builtin_gazetteers
+    from weak_supervision_for_ner_ray.stages.kg import (AliasIndex,
+                                                        decode_triple_batch)
+    table, rows, p = corpus_obs
+    out = decode_triple_batch(p, AliasIndex(builtin_gazetteers()), table,
+                              decode_memo={}, triple_memo={})
+    out = out.filter(pc.equal(out["kind"], "n"))
+    got = list(zip(out["conv_id"].to_pylist(), out["turn_idx"].to_pylist(),
+                   out["start"].to_pylist(), out["end"].to_pylist(),
+                   out["label"].to_pylist(), out["conf"].to_pylist()))
+    exp = []
+    for i, (ci, ti) in enumerate(zip(table["conv_id"].to_pylist(),
+                                     table["turn_idx"].to_pylist())):
+        for s, e, lab, c in decode_turn(rows.turnobs(i), p):
+            exp.append((ci, ti, s, e, lab, float(np.float32(c))))
+    assert got == exp and len(exp) > 100

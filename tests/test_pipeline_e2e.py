@@ -223,3 +223,53 @@ def test_edge_case_turns_flow_through(ray_session, tmp_path_factory):
     assert ner is not None
     labs = set(ner.column("label").to_pylist())
     assert "PERSON" in labs or "COMPANY" in labs or "ORG" in labs
+
+
+def test_null_text_is_an_empty_turn(ray_session, tmp_path_factory):
+    """A NULL ``text`` is an empty turn: zero tokens and no mentions, its
+    row kept with its NULL, and the Ray path and the oracle agree on the
+    triples around it."""
+    from weak_supervision_for_ner_ray.data import generate_corpus
+
+    base, _, _ = generate_corpus(12, 5)
+    conv0 = base["conv_id"][0].as_py()
+    last = max(t for c, t in zip(base["conv_id"].to_pylist(),
+                                 base["turn_idx"].to_pylist()) if c == conv0)
+    extra = pa.table({
+        "conv_id": [conv0, "null-conv", "null-conv"],
+        "turn_idx": pa.array([last + 1, 0, 1], pa.int32()),
+        "role": ["user", "user", "assistant"],
+        "text": pa.array([None, None, "Maria Jensen joined Acme Corp ."],
+                         pa.string()),
+    })
+    turns = pa.concat_tables([base.select(extra.column_names)
+                              .cast(extra.schema), extra])
+    nulls = {(conv0, last + 1), ("null-conv", 0)}
+
+    wd = str(tmp_path_factory.mktemp("null_text"))
+    out = build_kg(rd.from_arrow(turns), wd, n_iter=1, write=False,
+                   lineage=False)
+    annotated = to_arrow(out["annotated"])
+    keyed = {(c, t): (x, n) for c, t, x, n in zip(
+        annotated["conv_id"].to_pylist(), annotated["turn_idx"].to_pylist(),
+        annotated["text"].to_pylist(), annotated["n_tokens"].to_pylist())}
+    assert len(keyed) == turns.num_rows
+    assert all(keyed[k] == (None, 0) for k in nulls)
+    ner = to_arrow(out["ner"])
+    assert not nulls & set(zip(ner["conv_id"].to_pylist(),
+                               ner["turn_idx"].to_pylist()))
+    got = to_arrow(out["triples"])
+    got_set = set(zip(got["conv_id"].to_pylist(),
+                      got["turn_idx"].to_pylist(),
+                      got["subj"].to_pylist(), got["pred"].to_pylist(),
+                      got["obj"].to_pylist()))
+    assert ("null-conv", 1, "Maria Jensen", "works_for",
+            "Acme Corp") in got_set
+
+    mentions = to_arrow(mentions_table(rd.from_arrow(turns)))
+    assert not nulls & set(zip(mentions["conv_id"].to_pylist(),
+                               mentions["turn_idx"].to_pylist()))
+
+    rows, _ = Oracle().triples(turns, n_iter=1)
+    assert got_set == {(ci, ti, s, p, o)
+                       for (ci, ti, s, sl, p, o, ol, sid, oid, c) in rows}

@@ -205,7 +205,10 @@ class LFBank:
         self.full_name = det.FullNameDetector(self.first_names)
 
     # -- single turn ------------------------------------------------------
-    def annotate_turn(self, text: str) -> tuple[Doc, Layers]:
+    def annotate_turn(self, text: str | None) -> tuple[Doc, Layers]:
+        """Turn-level sources over one text.  A NULL text (None) is an
+        empty turn: zero tokens, no mentions."""
+        text = text or ""
         if self.form_frequencies is not None:
             from ..tokenizer import truecase_text
             text = truecase_text(text, self.form_frequencies)

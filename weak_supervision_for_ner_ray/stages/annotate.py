@@ -52,7 +52,7 @@ def annotate_texts(bank: LFBank, texts: list[str],
         if hit is None:
             doc, layers = bank.annotate_turn(text)
             hit = (doc, canonical_layers(layers))
-            if memo is not None and len(text) <= _TURN_MEMO_MAX_LEN:
+            if memo is not None and len(text or "") <= _TURN_MEMO_MAX_LEN:
                 if len(memo) > _TURN_MEMO_CAP:
                     memo.clear()
                 memo[text] = hit
@@ -85,7 +85,7 @@ def annotate_conv_group(bank: LFBank, group: pa.Table) -> pa.Table:
     order = pc.sort_indices(group, sort_keys=[("turn_idx", "ascending")])
     group = group.take(order)
     rows = MentionRows(group)
-    docs = [make_doc(t) for t in group.column("text").to_pylist()]
+    docs = [make_doc(t or "") for t in group.column("text").to_pylist()]
     layers_list = [rows.layers(i) for i in range(group.num_rows)]
     bank.finish_conversation(group.column("turn_idx").to_pylist(), docs,
                              layers_list)

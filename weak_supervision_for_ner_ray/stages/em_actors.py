@@ -14,8 +14,8 @@ order, so the result does not depend on which worker ran which task.
 A task holds no state between passes, so a build starts no actor process
 and a worker lost mid-pass only costs Ray's retry of that task.  The
 re-read is cheap next to the pass (measured on a 1-CPU VM on the
-perfbench corpora: 11-20 ms of re-read + dedup against 0.6-1.0 s for one
-E-step pass), so no per-worker shard cache is kept.
+perfbench corpora: 11-20 ms of re-read + dedup against 0.25-0.3 s for one
+block-kernel E-step pass), so no per-worker shard cache is kept.
 
 The driver loop (``pipelines.train.train_hmm_sharded``) checkpoints the
 parameters after every iteration, which is what resume restarts from.
@@ -85,21 +85,6 @@ def _dedup_rows(fp: np.ndarray, rows: ObsRows):
     return idx[order], cnt[order]
 
 
-def _take_rows(rows: ObsRows, idx: np.ndarray) -> ObsRows:
-    """New ObsRows view containing only the selected turns (vectorised
-    gather of the flat pair arrays)."""
-    lens = np.diff(rows.offsets)[idx]
-    new_off = np.concatenate([[0], np.cumsum(lens)])
-    total = int(new_off[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(new_off[:-1], lens)
-    gather = np.repeat(rows.offsets[idx], lens) + within
-    out = ObsRows.__new__(ObsRows)
-    out.n_tokens = rows.n_tokens[idx]
-    out.offsets = new_off
-    out.cols = {name: arr[gather] for name, arr in rows.cols.items()}
-    return out
-
-
 @dataclass(frozen=True)
 class EMShard:
     """One shard of the observation table: a contiguous run of
@@ -135,7 +120,7 @@ def _deduped(batch: pa.Table):
     rows = ObsRows(batch)
     uniq_idx, counts = _dedup_rows(fp, rows)
     if len(uniq_idx) < len(rows):
-        return _take_rows(rows, uniq_idx), counts.astype(np.float64)
+        return rows.take(uniq_idx), counts.astype(np.float64)
     return rows, None
 
 
@@ -240,32 +225,23 @@ def _init_partial(shard: EMShard):
 @ray.remote
 def _estep_partial(shard: EMShard, params) -> dict:
     """One E-step over the shard -> sufficient-statistic partial
-    (dedup-weighted).
+    (dedup-weighted): one ``hmm.accumulate_block`` call per chunk.
 
-    Per-turn kernel (``hmm.accumulate_flat``) on purpose: its working
-    set is one (T,77) strip that stays in L2.  A batched kernel that
-    streamed (chunk, Tmax, 77) tensors through DRAM was fine on one
-    core, but with 32 shards it saturated the memory bus and ran ~3×
-    slower end-to-end (measured 37 s vs 11 s per pass at sf0.1/32
-    cpus), so it was removed."""
+    The block kernel's working set is bounded by its tile, not the chunk:
+    forward-backward runs over tiles of at most ``hmm.TILE_TOKENS`` tokens
+    (about 1.6 MB of (T, B, 77) arrays), and the emission statistics
+    collapse onto the chunk's few hundred observation patterns.  An
+    earlier batched kernel that streamed whole (chunk, Tmax, 77) tensors
+    through DRAM saturated the memory bus with 32 shards and ran ~3×
+    slower end-to-end (37 s vs 11 s per pass at sf0.1/32 cpus)."""
     stats = SuffStats()
     defer_o = np.zeros(hmm.N_STATES)
     emis_buf = hmm.EmisStatsBuffer()
     for rows, weights in _iter_deduped(shard):
-        off = rows.offsets
-        o_t = np.asarray(rows.cols["o_t"], np.int64)
-        o_s = np.asarray(rows.cols["o_s"], np.int64)
-        o_state = np.asarray(rows.cols["o_state"], np.int64)
-        o_conf = np.asarray(rows.cols["o_conf"], np.float64)
-        nt = rows.n_tokens
-        for i in range(len(rows)):
-            w = 1.0 if weights is None else weights[i]
-            lo, hi = off[i], off[i + 1]
-            hmm.accumulate_flat(params, int(nt[i]), o_t[lo:hi],
-                                o_s[lo:hi], o_state[lo:hi],
-                                o_conf[lo:hi], stats,
-                                weight=w, defer_o=defer_o,
-                                emis_buf=emis_buf)
+        c = rows.cols
+        hmm.accumulate_block(params, rows.n_tokens, rows.offsets, c["o_t"],
+                             c["o_s"], c["o_state"], c["o_conf"], stats,
+                             weights, defer_o=defer_o, emis_buf=emis_buf)
     emis_buf.apply(stats)
     stats.obs[params.keep, :, 0] += defer_o[None, :]
     return stats.to_arrays()

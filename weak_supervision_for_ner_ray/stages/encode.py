@@ -383,6 +383,21 @@ class ObsRows:
     def __len__(self):
         return len(self.n_tokens)
 
+    def take(self, idx: np.ndarray) -> "ObsRows":
+        """New ObsRows holding only the selected rows (vectorised gather
+        of the flat pair arrays)."""
+        lens = np.diff(self.offsets)[idx]
+        new_off = np.concatenate([[0], np.cumsum(lens)])
+        total = int(new_off[-1])
+        within = np.arange(total, dtype=np.int64) - np.repeat(new_off[:-1],
+                                                               lens)
+        gather = np.repeat(self.offsets[idx], lens) + within
+        out = ObsRows.__new__(ObsRows)
+        out.n_tokens = self.n_tokens[idx]
+        out.offsets = new_off
+        out.cols = {name: arr[gather] for name, arr in self.cols.items()}
+        return out
+
     def turnobs(self, i: int) -> TurnObs:
         obs = TurnObs(int(self.n_tokens[i]))
         lo, hi = self.offsets[i], self.offsets[i + 1]

@@ -4,7 +4,10 @@
 ``map_batches`` stage that Viterbi-decodes each turn's encoded observation
 into ``ner`` spans (labelling.py:116-141 semantics), then matches relation
 templates and links entities over the same spans, so each turn is decoded
-once and the obs table is scanned once.  :func:`make_majority_vote_fn` is
+once and the obs table is scanned once.  Per batch, the turns whose
+observation pattern misses the per-worker decode memo are decoded together
+by the block kernel ``hmm.decode_block`` (per-batch pattern table, tiles of
+equal-length turns).  :func:`make_majority_vote_fn` is
 the MajorityVoter baseline over the same observations.
 
 Entity linking is a broadcast map-side join (SURVEY.md §2.4): the alias
@@ -211,42 +214,48 @@ def make_decode_triple_fn(params_ref, gazetteers_ref):
 
 def decode_triple_batch(params, index, batch: pa.Table, decode_memo: dict,
                         triple_memo: dict) -> pa.Table:
+    """Decode + link + triples over one obs batch.  Turns whose
+    observation pattern misses ``decode_memo`` are Viterbi-decoded
+    together, once per distinct pattern, by ``hmm.decode_block``.  A NULL
+    text has zero tokens, so no spans and no triples."""
     import numpy as np
 
-    from ..state.hmm import decode_turn_flat
+    from ..state.hmm import decode_block
 
     conv_ids = batch.column("conv_id").to_pylist()
     turn_idxs = batch.column("turn_idx").to_pylist()
     texts = batch.column("text").to_pylist()
     rows = ObsRows(batch)
-    f_t = rows.cols["o_t"].astype(np.int64)
-    f_s = rows.cols["o_s"].astype(np.int64)
-    f_state = rows.cols["o_state"].astype(np.int64)
-    f_conf = rows.cols["o_conf"].astype(np.float64)
+    keys = [_row_key(rows, i) for i in range(len(rows))]
+    spans_of: list = [[] for _ in keys]
+    misses: dict[bytes, list[int]] = {}
+    for i, key in enumerate(keys):
+        if rows.n_tokens[i] == 0:
+            continue
+        hit = decode_memo.get(key)
+        if hit is None:
+            misses.setdefault(key, []).append(i)
+        else:
+            spans_of[i] = hit
+    if misses:
+        sub = rows.take(np.array([ix[0] for ix in misses.values()]))
+        decoded = decode_block(params, sub.n_tokens, sub.offsets,
+                               *(sub.cols[k] for k in ("o_t", "o_s",
+                                                       "o_state", "o_conf")))
+        for (key, ix), spans in zip(misses.items(), decoded):
+            if len(decode_memo) > _CACHE_CAP:
+                decode_memo.clear()
+            decode_memo[key] = spans
+            for i in ix:
+                spans_of[i] = spans
 
     kind, conv, turn = [], [], []
     start, end, label, conf = [], [], [], []
     t_cols = {k: [] for k in ("subj", "subj_label", "pred", "obj",
                               "obj_label", "subj_id", "obj_id")}
 
-    def spans_for(i):
-        nt = int(rows.n_tokens[i])
-        if nt == 0:
-            return []
-        key = _row_key(rows, i)
-        hit = decode_memo.get(key)
-        if hit is not None:
-            return hit
-        lo, hi = rows.offsets[i], rows.offsets[i + 1]
-        spans = decode_turn_flat(params, nt, f_t[lo:hi], f_s[lo:hi],
-                                 f_state[lo:hi], f_conf[lo:hi])
-        if len(decode_memo) > _CACHE_CAP:
-            decode_memo.clear()
-        decode_memo[key] = spans
-        return spans
-
-    for i, (ci, ti, text) in enumerate(zip(conv_ids, turn_idxs, texts)):
-        spans = spans_for(i)
+    for ci, ti, text, key, spans in zip(conv_ids, turn_idxs, texts, keys,
+                                        spans_of):
         for (s, e, lab, c) in spans:
             kind.append("n")
             conv.append(ci)
@@ -257,7 +266,7 @@ def decode_triple_batch(params, index, batch: pa.Table, decode_memo: dict,
             conf.append(c)
             for k in t_cols:
                 t_cols[k].append(None)
-        tkey = text.encode("utf-8") + b"\0" + _row_key(rows, i)
+        tkey = (text or "").encode("utf-8") + b"\0" + key
         triples = triple_memo.get(tkey)
         if triples is None:
             triples = extract_triples_for_turn(

@@ -19,6 +19,17 @@ Key semantics preserved:
 The per-token observation is sparse (most sources emit "O"), so the
 log-likelihood is computed as a baseline Σ_s log(emission[s,:,0]) plus
 corrections only for the (token, source) pairs that actually fired.
+
+Production runs two block kernels over a chunk of turns (flat pair arrays,
+as ``stages.encode.ObsRows`` holds them): :func:`accumulate_block` (E-step)
+and :func:`decode_block` (Viterbi).  Each compresses runs of unfired
+tokens, dictionary-encodes every fired token's observation into a
+per-chunk pattern table of ``ll`` rows (transcripts repeat few patterns),
+and runs its recursion over tiles of turns of equal compressed length
+(:data:`TILE_TOKENS`).  The E-step folds emission statistics per pattern;
+Viterbi restricts each state's max-plus to its predecessors under
+``transmat``.  :func:`accumulate` and :func:`decode_turn` are the per-turn
+references the oracle runs and the tests compare against.
 """
 
 from __future__ import annotations
@@ -74,6 +85,8 @@ class HMMParams:
             # linear-space twin of log_emis2d for multi-label mixtures
             self.emis_cols = np.ascontiguousarray(
                 e.transpose(0, 2, 1)).reshape(-1, N_STATES)
+        self.viterbi_groups = _predecessor_groups(self.transmat,
+                                                  self.log_trans)
         self.keep_set = set(self.keep.tolist())
         self.keep_mask = np.zeros(N_SOURCES, bool)
         self.keep_mask[self.keep] = True
@@ -101,6 +114,24 @@ class HMMParams:
         return cls(z["startprob"], z["transmat"], z["emission_probs"],
                    z["startprob_prior"], z["transmat_prior"],
                    z["emission_priors"], z["keep"])
+
+
+def _predecessor_groups(transmat: np.ndarray, log_trans: np.ndarray):
+    """Each state's Viterbi predecessors — the rows with ``transmat > 0``,
+    ascending — grouped by count: ``[(states (nJ,), arange(nJ), preds
+    (nJ, P), log_trans[preds, states] (nJ, P))]``.  The BILU grammar gives two
+    groups (2 predecessors for I-/L-, 39 for O/B-/U-); a dense matrix is
+    one group of 77.  A state with no predecessor gets state 0 at -inf."""
+    preds = [np.flatnonzero(transmat[:, j] > 0) for j in range(N_STATES)]
+    preds = [p if len(p) else np.zeros(1, np.int64) for p in preds]
+    sizes = np.array([len(p) for p in preds])
+    groups = []
+    for size in np.unique(sizes):
+        states = np.flatnonzero(sizes == size)
+        P = np.stack([preds[j] for j in states])
+        groups.append((states, np.arange(len(states)), P,
+                       log_trans[P, states[:, None]]))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +414,8 @@ def frame_ll_flat(T: int, p_t: np.ndarray, p_s: np.ndarray,
     Returns (ll, g_t, g_s, kept) where g_* are the distinct fired
     (token, source) group representatives and ``kept`` the keep-filtered
     pair arrays (t, s, state, conf) — both reused by the caller's
-    emission-statistics pass."""
+    emission-statistics pass.  :func:`_pattern_table` builds its rows
+    with it, one pattern per "token"."""
     ll = np.tile(params.base_loglik, (T, 1))
     observed = np.zeros((T, N_STATES), bool)
     observed[:, 0] = True
@@ -448,52 +480,15 @@ def frame_ll_flat(T: int, p_t: np.ndarray, p_s: np.ndarray,
     return ll, g_t, g_s, (p_t, p_s, p_state, p_conf)
 
 
-def _compress_o_runs(T: int, p_t: np.ndarray, a00: float):
-    """Collapse each maximal run of unfired tokens to its head token.
-
-    A token no source fired on is forced through the O state — every
-    non-O entry of its ll row is masked to -inf (the reference's
-    observed-state rule, labelling.py:443-445) — so after the head of a
-    run the scaled forward vector is exactly one-hot at O.  The k-1
-    interior tokens of a k-run therefore contribute deterministic,
-    analytically known terms: ``logprob += (k-1)(log A[0,0] +
-    base_ll[0])``, ``xi += (k-1)·δ(0,0)``, and a δ_0 posterior row each;
-    all other posteriors/xis are unchanged because the dropped factor
-    ``A[0,0]^{k-1}`` is common to every path.  Dropping them shrinks the
-    O(T·77²) recursions by the unfired token share (~60% of transcript
-    tokens) with bit-identical remaining rows.
-
-    Returns ``(T', p_t', n_removed, kept_positions|None)`` where
-    ``kept_positions`` maps compressed token index -> original index
-    (``None`` when nothing was removed).
-    """
-    # short turns can't hold enough removable tokens to repay the run
-    # detection itself (~0.1 ms/turn; measured net-negative below ~24)
-    if T < 24 or a00 <= 0.0:
-        return T, p_t, 0, None
-    fired = np.zeros(T, bool)
-    if len(p_t):
-        fired[p_t] = True
-    keep = fired.copy()
-    keep[0] = True
-    keep[1:] |= fired[:-1]
-    n_removed = T - int(keep.sum())
-    if not n_removed:
-        return T, p_t, 0, None
-    if len(p_t):
-        p_t = (np.cumsum(keep) - 1)[p_t]
-    return T - n_removed, p_t, n_removed, np.flatnonzero(keep)
-
-
 class EmisStatsBuffer:
-    """Cross-turn accumulator for the per-(t, source) emission updates.
+    """Cross-call accumulator for the emission-statistic updates.
 
-    The per-turn updates ``obs[s, :, 0] -= post[t]`` and
-    ``obs[s, :, state] += conf·post[t]`` are linear, so they can be
-    collected across every turn of a shard pass and applied in a handful
-    of segment-sums — replacing two tiny ``np.ufunc.at`` scatters PER
-    TURN (whose buffered element-at-a-time path was ~40% of E-step
-    wall-time) with one argsort+reduceat per ~64k buffered rows.
+    The updates ``obs[s, :, 0] -= post`` and ``obs[s, :, state] +=
+    conf·post`` are linear, so they can be collected across every call of
+    a shard pass and applied in a handful of segment-sums instead of tiny
+    ``np.ufunc.at`` scatters per call.  The block kernels add one row per
+    observation pattern and (pattern, source) group, not one per fired
+    (token, source) pair.
 
     ``acc`` is keyed ``s·K + state`` with the state-major layout
     transposed back into ``stats.obs`` once, in :meth:`apply`."""
@@ -541,7 +536,7 @@ class EmisStatsBuffer:
 
     def apply(self, stats: SuffStats) -> None:
         """Fold the buffered contributions into ``stats.obs`` (call once,
-        after the last :func:`accumulate_flat` of the pass)."""
+        after the last kernel call of the pass)."""
         self._flush()
         # acc[s·K+state, j] -> obs[s, j, state]
         stats.obs += self._acc.reshape(
@@ -552,89 +547,350 @@ class EmisStatsBuffer:
         self._acc_sub.fill(0.0)
 
 
+# ---------------------------------------------------------------------------
+# block kernels: observation-pattern tables and length-bucketed tiles
+# ---------------------------------------------------------------------------
+
+# A tile is B turns of one compressed length T with B·T <= TILE_TOKENS (a
+# longer turn is a tile of its own).  The forward-backward of a tile holds
+# five (T, B, 77) float64 arrays (log-likelihood, scaled emissions, alpha,
+# beta, posterior), so its working set is at most 5·512·77·8 B ≈ 1.6 MB
+# whatever the chunk size: the kernel never streams a (chunk, Tmax, 77)
+# tensor through DRAM.
+TILE_TOKENS = 512
+
+# Turns shorter than this are not O-run compressed: their unfired runs are
+# short (compressing every turn measured no faster on the perfbench
+# corpora).  Compression shifts a turn's Viterbi scores by one constant,
+# exact in real arithmetic but not in floating point, so this cut also
+# keeps the decoded paths those corpora were pinned with.
+_MIN_COMPRESS_T = 24
+
+
+def _pattern_table(params: HMMParams, n_flat: int, pair_turn, tok, p_s,
+                   p_state, p_conf):
+    """Dictionary-encode the fired tokens of a chunk into observation
+    patterns.  Pairs are sorted by (flat token ``tok``, source).
+
+    The pattern of a fired token is its list of (source, state, conf)
+    pairs over ALL sources (the observed-state mask counts non-kept
+    sources too), keyed together with its turn's :func:`frame_ll_flat`
+    path (log-table when every kept (token, source) group is a single
+    label, linear mixture otherwise), so each ``ll`` row comes from
+    exactly the arithmetic of that turn's :func:`frame_ll_flat`.
+    Transcripts repeat few patterns: on an 800-turn entity-dense corpus,
+    ~140k fired pairs formed ~440.
+
+    Returns (``ll`` row of each of the ``n_flat`` tokens, the ``ll``
+    table, ``[(first row, g_t, g_s, kept pairs)]``): row 0 is the unfired
+    token, then one :func:`frame_ll_flat` block per path, each pattern
+    one "token" of it, with its groups and keep-filtered pairs."""
+    empty = np.full((1, N_STATES), _NINF)
+    empty[0, 0] = params.base_loglik[0]
+    tok_row = np.zeros(n_flat, np.int64)
+    if not len(tok):
+        return tok_row, empty, []
+    starts = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
+    lens = np.diff(np.r_[starts, len(tok)])
+    km = params.keep_mask[p_s]
+    kept_key = tok[km] * N_SOURCES + p_s[km]
+    mixture = np.zeros(int(pair_turn[-1]) + 1, bool)
+    mixture[pair_turn[km][1:][kept_key[1:] == kept_key[:-1]]] = True
+    flag = mixture[pair_turn[starts]]
+    # one bytes key per fired token: its packed (source, state, conf)
+    # records, with the turn's path flag
+    rec = np.empty(len(tok), [("s", "<i2"), ("state", "<i2"),
+                              ("conf", "<f8")])
+    rec["s"], rec["state"], rec["conf"] = p_s, p_state, p_conf
+    raw, size = rec.tobytes(), rec.itemsize
+    ids: dict[tuple[bool, bytes], int] = {}
+    reps, tok_pat = [], []
+    for i, (f, a, b) in enumerate(zip(flag.tolist(), (starts * size).tolist(),
+                                      ((starts + lens) * size).tolist())):
+        j = ids.setdefault((f, raw[a:b]), len(reps))
+        if j == len(reps):
+            reps.append(i)
+        tok_pat.append(j)
+    reps = np.asarray(reps)
+    by_flag = np.argsort(flag[reps], kind="stable")
+    row_of = np.empty(len(reps), np.int64)
+    row_of[by_flag] = 1 + np.arange(len(reps))
+    tok_row[tok[starts]] = row_of[np.asarray(tok_pat)]
+    reps = reps[by_flag]
+    blocks, groups = [empty], []
+    for f in (False, True):
+        sub = reps[flag[reps] == f]
+        if not len(sub):
+            continue
+        sl = lens[sub]
+        idx = np.repeat(starts[sub] - np.cumsum(sl) + sl, sl) \
+            + np.arange(int(sl.sum()))
+        ll, g_t, g_s, kept = frame_ll_flat(
+            len(sub), np.repeat(np.arange(len(sub)), sl), p_s[idx],
+            p_state[idx], p_conf[idx], params)
+        groups.append((sum(map(len, blocks)), g_t, g_s, kept))
+        blocks.append(ll)
+    return tok_row, np.concatenate(blocks), groups
+
+
+class _Chunk:
+    """A chunk of turns, as flat pair arrays, after O-run compression,
+    with its table of per-token observation patterns.
+
+    A token no source fired on is forced through the O state (every other
+    entry of its ll row is -inf, labelling.py:443-445), so after the head
+    of a run of unfired tokens the scaled forward vector is exactly
+    one-hot at O.  The k-1 interior tokens of a k-run therefore add known
+    terms only: ``logprob += (k-1)(log A[0,0] + base_ll[0])``, ``xi +=
+    (k-1)·δ(0,0)`` and a δ_0 posterior row each, and the dropped factor
+    ``A[0,0]^{k-1}`` is common to every path.  They are dropped before the
+    recursions.  Entity spans never cover an unfired token, and each non-O
+    segment lies in one stretch of kept tokens, so decoded spans map back
+    contiguously.
+
+    * ``off``, ``lengths``, ``n_removed``: each turn's compressed token
+      range, its compressed length and the tokens dropped from it;
+    * ``kept``: each compressed token's position in its turn;
+    * ``pat``: each compressed token's row of ``ll``, the pattern table
+      (:func:`_pattern_table`); ``groups`` its fired pairs per block of
+      rows, for the emission statistics."""
+
+    def __init__(self, params: HMMParams, n_tokens, offsets, p_t, p_s,
+                 p_state, p_conf):
+        nt = np.asarray(n_tokens, np.int64)
+        off = np.asarray(offsets, np.int64)
+        lo, hi = int(off[0]), int(off[-1])
+        p_t = np.asarray(p_t[lo:hi], np.int64)
+        p_s = np.asarray(p_s[lo:hi], np.int64)
+        p_state = np.asarray(p_state[lo:hi], np.int64)
+        p_conf = np.ascontiguousarray(p_conf[lo:hi], np.float64)
+        pair_turn = np.repeat(np.arange(len(nt)), np.diff(off))
+        tok_off = np.zeros(len(nt) + 1, np.int64)
+        np.cumsum(nt, out=tok_off[1:])
+        tok = tok_off[pair_turn] + p_t
+        # group pairs by (token, source); the obs encoder emits them so,
+        # and the stable sort keeps a multi-label group's state order
+        key = tok * N_SOURCES + p_s
+        if len(key) > 1 and np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            pair_turn, tok, p_s, p_state, p_conf = (
+                pair_turn[order], tok[order], p_s[order], p_state[order],
+                p_conf[order])
+
+        n_flat = int(tok_off[-1])
+        keep = np.ones(n_flat, bool)
+        compress = nt >= _MIN_COMPRESS_T
+        if params.transmat[0, 0] > 0 and compress.any():
+            fired = np.zeros(n_flat, bool)
+            fired[tok] = True
+            head = fired.copy()
+            head[1:] |= fired[:-1]
+            head[tok_off[:-1][nt > 0]] = True
+            keep = head | ~np.repeat(compress, nt)
+        ck = np.zeros(n_flat + 1, np.int64)
+        np.cumsum(keep, out=ck[1:])
+        self.off = ck[tok_off]
+        self.lengths = np.diff(self.off)
+        self.n_removed = nt - self.lengths
+        self.kept = np.flatnonzero(keep) - np.repeat(tok_off[:-1],
+                                                     self.lengths)
+        tok_row, self.ll, self.groups = _pattern_table(
+            params, n_flat, pair_turn, tok, p_s, p_state, p_conf)
+        self.pat = tok_row[keep]
+
+    def tiles(self):
+        """Yield each tile's (T, B) array of ``pat`` indices (time-major)
+        and its turn indices: turns of equal compressed length T > 0,
+        B·T <= TILE_TOKENS."""
+        order = np.argsort(self.lengths, kind="stable")
+        ls = self.lengths[order]
+        cuts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1], True])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            T = int(ls[a])
+            if T == 0:
+                continue
+            step = max(1, TILE_TOKENS // T)
+            for k in range(a, b, step):
+                turns = order[k:min(k + step, b)]
+                yield self.off[turns][None, :] + np.arange(T)[:, None], turns
+
+
+def _forward_backward_tile(ll: np.ndarray, params: HMMParams):
+    """:func:`_forward_backward_scaled` over a (T, B, 77) tile.  A turn
+    whose scale factor is not positive gets a non-finite logprob (the
+    caller drops it, as the per-turn recursion does)."""
+    T = ll.shape[0]
+    m = np.max(ll, axis=2)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(under="ignore"):
+        Bs = np.exp(ll - m[:, :, None])
+    A = params.transmat
+    alpha = np.empty_like(Bs)
+    beta = np.empty_like(Bs)
+    c = np.empty(Bs.shape[:2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = params.startprob * Bs[0]
+        for t in range(T):
+            if t:
+                a = (alpha[t - 1] @ A) * Bs[t]
+            c[t] = a.sum(axis=1)
+            alpha[t] = a / c[t][:, None]
+        logprob = np.log(c).sum(axis=0) + m.sum(axis=0)
+        beta[-1] = 1.0
+        for t in range(T - 2, -1, -1):
+            beta[t] = ((Bs[t + 1] * beta[t + 1]) @ A.T) / c[t + 1][:, None]
+    return logprob, alpha, beta, Bs, c
+
+
+def _viterbi_tile(ll: np.ndarray, params: HMMParams) -> np.ndarray:
+    """:func:`viterbi` paths of a (T, B, 77) tile, bit-identical to it.
+
+    Each state's max-plus runs over its predecessors only
+    (``params.viterbi_groups``): the dropped entries are -inf, so the
+    maximum, and its first index among the ascending predecessors, are
+    those of the dense argmax; an all -inf column backpoints to state 0,
+    as ``np.argmax`` does."""
+    T, B, K = ll.shape
+    delta = params.log_start + ll[0]
+    back = np.zeros((T, B, K), np.intp)
+    best = np.empty((B, K))
+    for t in range(1, T):
+        for states, rows, preds, lt in params.viterbi_groups:
+            scores = delta[:, preds] + lt                 # (B, nJ, P)
+            best[:, states] = scores.max(axis=2)
+            back[t][:, states] = preds[rows, scores.argmax(axis=2)]
+        back[t][best == _NINF] = 0
+        delta = best + ll[t]
+    path = np.empty((T, B), np.intp)
+    path[-1] = np.argmax(delta, axis=1)
+    rows = np.arange(B)
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t, rows, path[t]]
+    return path
+
+
+def accumulate_block(params: HMMParams, n_tokens, offsets, p_t, p_s,
+                     p_state, p_conf, stats: SuffStats, weights=None, *,
+                     defer_o: np.ndarray,
+                     emis_buf: "EmisStatsBuffer") -> None:
+    """E-step over a chunk of turns (``n_tokens`` and ``offsets`` into
+    the flat pair arrays, as ``ObsRows`` holds them), accumulating into
+    ``stats`` the statistics :func:`accumulate` gives turn by turn (equal
+    up to float summation order).  ``weights`` (one per turn, default 1)
+    scale each turn's contribution, for deduplicated turns.
+
+    Forward-backward runs over tiles of equal compressed length
+    (:data:`TILE_TOKENS`), gathering ``ll`` from the chunk's pattern
+    table.  The emission statistics are folded per pattern, as ``conf ·
+    Σ post`` over the tokens that carry it, and deferred to the caller,
+    who folds them in once per pass (every statistic is linear):
+
+    * ``defer_o`` (77,) sums each turn's total posterior; the caller adds
+      ``stats.obs[keep, :, 0] += defer_o``, instead of touching ~48
+      strided rows of the 2.3 MB obs tensor per call;
+    * ``emis_buf`` buffers the per-pattern updates; the caller calls its
+      :meth:`EmisStatsBuffer.apply`."""
+    ch = _Chunk(params, n_tokens, offsets, p_t, p_s, p_state, p_conf)
+    n = len(ch.lengths)
+    w_all = np.ones(n) if weights is None else np.asarray(weights,
+                                                          np.float64)
+    a00 = float(params.transmat[0, 0])
+    # per dropped token: log A[0,0] + base_ll[0] (no token is dropped
+    # unless A[0,0] > 0)
+    run_ll = np.log(a00) + params.base_loglik[0] if a00 > 0 else 0.0
+    post_sum = np.zeros_like(ch.ll)         # Σ weight·post per pattern
+    n_seqs = []
+    K = N_STATES
+    for idx, turns in ch.tiles():
+        pat = ch.pat[idx]
+        logprob, alpha, beta, Bs, c = _forward_backward_tile(ch.ll[pat],
+                                                             params)
+        ok = np.isfinite(logprob)
+        if not ok.all():                     # degenerate turns are skipped
+            if not ok.any():
+                continue
+            turns, pat, logprob = turns[ok], pat[:, ok], logprob[ok]
+            alpha, beta, Bs, c = alpha[:, ok], beta[:, ok], Bs[:, ok], \
+                c[:, ok]
+        w = w_all[turns]
+        n_seqs.append(w)
+        removed = w * ch.n_removed[turns]
+        post = alpha * beta
+        post /= np.maximum(post.sum(axis=2, keepdims=True), 1e-300)
+        post *= w[:, None]
+        stats.logprob += float(((logprob + ch.n_removed[turns] * run_ll)
+                                * w).sum())
+        stats.trans[0, 0] += removed.sum()
+        stats.start += post[0].sum(axis=0)
+        if len(pat) > 1:
+            xw = Bs[1:] * beta[1:] / c[1:, :, None] * w[:, None]
+            stats.trans += params.transmat * (
+                alpha[:-1].reshape(-1, K).T @ xw.reshape(-1, K))
+        defer_o += post.sum(axis=(0, 1))
+        defer_o[0] += removed.sum()
+        f = pat > 0
+        np.add.at(post_sum, pat[f], post[f])
+    if n_seqs:
+        w = np.concatenate(n_seqs)
+        stats.n_seqs += (int(w.sum()) if np.all(w == np.floor(w))
+                         else float(w.sum()))
+    for row0, g_t, g_s, (k_t, k_s, k_state, k_conf) in ch.groups:
+        if len(g_t):
+            ps = post_sum[row0:]
+            emis_buf.add(g_s, ps[g_t], k_s * N_STATES + k_state,
+                         k_conf[:, None] * ps[k_t])
+
+
+def decode_block(params: HMMParams, n_tokens, offsets, p_t, p_s, p_state,
+                 p_conf) -> list[list[tuple[int, int, str, float]]]:
+    """Viterbi-decode a chunk of turns (flat pair arrays, as in
+    :func:`accumulate_block`) into each turn's (start, end, label, conf)
+    spans — the spans :func:`decode_turn` gives, bit for bit.
+
+    Viterbi runs over tiles of equal compressed length; a token's conf is
+    its pattern's softmax row at the decoded state."""
+    ch = _Chunk(params, n_tokens, offsets, p_t, p_s, p_state, p_conf)
+    with np.errstate(under="ignore", over="ignore"):
+        proba = np.exp(ch.ll - ch.ll.max(axis=1, keepdims=True))
+    proba = proba / proba.sum(axis=1, keepdims=True)
+    out: list[list] = [[] for _ in range(len(ch.lengths))]
+    for idx, turns in ch.tiles():
+        pat = ch.pat[idx]
+        path = _viterbi_tile(ch.ll[pat], params)
+        conf = proba[pat, path]
+        for j, b in enumerate(turns):
+            spans = bilu_to_spans([POSITIONED_LABELS[s] for s in path[:, j]],
+                                  conf[:, j])
+            if ch.n_removed[b] and spans:
+                kept = ch.kept[ch.off[b]:ch.off[b + 1]]
+                spans = [(int(kept[s]), int(kept[e - 1]) + 1, lab, c)
+                         for s, e, lab, c in spans]
+            out[b] = spans
+    return out
+
+
 def accumulate_flat(params: HMMParams, T: int, p_t: np.ndarray,
                     p_s: np.ndarray, p_state: np.ndarray,
                     p_conf: np.ndarray, stats: SuffStats,
                     weight: float = 1.0, *, defer_o: np.ndarray,
                     emis_buf: "EmisStatsBuffer") -> None:
-    """:func:`accumulate` over flat pair arrays — identical statistics,
-    no per-turn dict construction, vectorised emission updates, and
-    O-run compression of the forward-backward recursion.  The E-step
-    kernel production runs.
-
-    The emission statistics are deferred to the caller, who must fold
-    them in once per pass (identical result; every statistic is linear):
-
-    * ``defer_o`` (77,) sums each turn's total posterior; the caller adds
-      ``stats.obs[keep, :, 0] += defer_o``.  Doing that per turn touched
-      ~48 strided 616-byte rows of the 2.3 MB obs tensor PER TURN — the
-      dominant DRAM traffic of a shard pass.
-    * ``emis_buf`` buffers the fired-pair updates; the caller calls its
-      :meth:`EmisStatsBuffer.apply`."""
-    if T == 0:
-        return
-    a00 = float(params.transmat[0, 0])
-    T, p_t, n_removed, _ = _compress_o_runs(T, p_t, a00)
-    ll, g_t, g_s, (p_t, p_s, p_state, p_conf) = frame_ll_flat(
-        T, p_t, p_s, p_state, p_conf, params)
-    logprob, alpha, beta, Bs, c = _forward_backward_scaled(ll, params)
-    if not np.isfinite(logprob):
-        return
-    post = alpha * beta
-    post /= np.maximum(post.sum(axis=1, keepdims=True), 1e-300)
-    if weight != 1.0:
-        post = post * weight
-
-    if n_removed:
-        logprob += n_removed * (np.log(a00) + params.base_loglik[0])
-        stats.trans[0, 0] += weight * n_removed
-    stats.logprob += logprob * weight
-    stats.n_seqs += int(weight) if weight == int(weight) else weight
-    stats.start += post[0]
-    if T > 1:
-        w = Bs[1:] * beta[1:] / c[1:, None]
-        stats.trans += (params.transmat * (alpha[:-1].T @ w)) * weight
-
-    total_post = post.sum(axis=0)
-    if n_removed:
-        total_post[0] += weight * n_removed
-    defer_o += total_post
-    if len(g_t):
-        # conf-weighted add per pair: obs[s, :, state] += conf * post[t],
-        # minus the baseline column once per fired (t, source) group
-        CP = p_conf[:, None] * post[p_t]                 # (n_pairs, 77)
-        emis_buf.add(g_s, post[g_t], p_s * N_STATES + p_state, CP)
+    """:func:`accumulate` over one turn's flat pair arrays (sorted by
+    (t, source), as the obs encoder emits them): a one-turn call of
+    :func:`accumulate_block`, with its deferred emission statistics —
+    the caller adds ``stats.obs[keep, :, 0] += defer_o`` and calls
+    ``emis_buf.apply(stats)`` once, after the last call of the pass."""
+    accumulate_block(params, [T], [0, len(p_t)], p_t, p_s, p_state, p_conf,
+                     stats, [weight], defer_o=defer_o, emis_buf=emis_buf)
 
 
 def decode_turn_flat(params: HMMParams, T: int, p_t: np.ndarray,
                      p_s: np.ndarray, p_state: np.ndarray,
                      p_conf: np.ndarray
                      ) -> list[tuple[int, int, str, float]]:
-    """:func:`decode_turn` over flat pair arrays (same spans).
-
-    Runs Viterbi on the O-run-compressed sequence: interior tokens of an
-    unfired run are forced O with a path-score factor common to every
-    path, so the compressed argmax path equals the original restricted to
-    kept tokens; span boundaries map back via the kept-position index.
-    (Entity spans can never cover an unfired token, and each maximal
-    non-O label segment lies within one stretch of consecutively kept
-    tokens, so compressed spans are contiguous in original space too.)"""
-    if T == 0:
-        return []
-    T, p_t, n_removed, kept_pos = _compress_o_runs(
-        T, p_t, float(params.transmat[0, 0]))
-    ll, _, _, _ = frame_ll_flat(T, p_t, p_s, p_state, p_conf, params)
-    _, states = viterbi(ll, params)
-    with np.errstate(under="ignore", over="ignore"):
-        proba = np.exp(ll - ll.max(axis=1, keepdims=True))
-    proba = proba / proba.sum(axis=1, keepdims=True)
-    conf = proba[np.arange(len(states)), states]
-    labels = [POSITIONED_LABELS[s] for s in states]
-    spans = bilu_to_spans(labels, conf)
-    if n_removed and spans:
-        spans = [(int(kept_pos[s]), int(kept_pos[e - 1]) + 1, lab, c)
-                 for s, e, lab, c in spans]
-    return spans
+    """:func:`decode_turn` over one turn's flat pair arrays (same spans):
+    a one-turn call of :func:`decode_block`."""
+    return decode_block(params, [T], [0, len(p_t)], p_t, p_s, p_state,
+                        p_conf)[0]
 
 
 # ---------------------------------------------------------------------------
