@@ -497,3 +497,37 @@ def test_decode_triple_batch_spans_match_per_turn(corpus_obs):
         for s, e, lab, c in decode_turn(rows.turnobs(i), p):
             exp.append((ci, ti, s, e, lab, float(np.float32(c))))
     assert got == exp and len(exp) > 100
+
+
+def test_decode_stage_one_decode_block_call_per_block(corpus_obs,
+                                                      monkeypatch):
+    """The fused decode stage decodes a whole obs block with ONE
+    ``hmm.decode_block`` call, and its output equals the same rows fed in
+    256-row batches through one worker's memos."""
+    from collections import OrderedDict
+
+    from weak_supervision_for_ner_ray.data import builtin_gazetteers
+    from weak_supervision_for_ner_ray.stages import util
+    from weak_supervision_for_ner_ray.stages.kg import make_decode_triple_fn
+    table, _, p = corpus_obs
+    assert table.num_rows > 256
+    calls = []
+    real = hmm.decode_block
+
+    def counted(*a, **kw):
+        calls.append(None)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(hmm, "decode_block", counted)
+    # each run starts with empty per-worker memos
+    monkeypatch.setattr(util, "_WORKER_CACHE", OrderedDict())
+    gaz = builtin_gazetteers()
+    whole = make_decode_triple_fn(p, gaz)(table)
+    assert len(calls) == 1
+    util._WORKER_CACHE.clear()
+    batched_fn = make_decode_triple_fn(p, gaz)
+    batched = pa.concat_tables([batched_fn(table.slice(lo, 256))
+                                for lo in range(0, table.num_rows, 256)])
+    assert len(calls) == 1 + -(-table.num_rows // 256)
+    assert whole.equals(batched)
+    assert pc.sum(pc.equal(whole["kind"], "n")).as_py() > 100

@@ -3,8 +3,9 @@
 read turns → sort by conv_id → per block: LF bank (turn- and
 conversation-level sources) and obs encoding in one pass per conversation
 → obs parquet (the EM input + resume point) →
-sharded EM → fused decode/link/triple stage → grouped canonicalization →
-sorted node/edge parquet tables (north_star shape).
+sharded EM → fused decode/link/triple stage → node/edge counts after one
+sort → sorted node/edge parquet tables (north_star shape).  Blocks are
+sized by rows (``stages.util.blocks_for_rows``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count
 
 from ..data import builtin_gazetteers, DETECTOR_FIRST_NAMES
 from ..stages.annotate import annotate_pipeline
@@ -141,11 +141,11 @@ def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     obs = annotate_turns(turns_ds, gazetteers=gazetteers,
                          first_names=first_names, concurrency=concurrency,
                          lin_actor=lin_actor)
-    # the grouped stage emits one small table per sort range; bundling
-    # them into files of >= 256 rows gives the file layout of a batched
-    # encode stage and fewer files for the EM and decode reads to open
-    # (kg_cold, 1 cpu: 196-217 turns/s against 175-188 with one file per
-    # range, three paired runs)
+    # the grouped stage emits one table per sort range; bundling them
+    # into files of >= 256 rows gives the file layout of a batched encode
+    # stage and fewer files for the EM and decode reads to open (kg_cold,
+    # 1 cpu, with 16 ranges of ~125 rows: 196-217 turns/s against 175-188
+    # with one file per range, three paired runs)
     return write_once(obs, os.path.join(workdir, "obs"), row_group_size=1024,
                       min_rows_per_file=256)
 
@@ -194,16 +194,20 @@ def mentions_table(turns_ds, **kw):
 
 
 def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
-             n_iter: int = 3, concurrency=None, batch_size: int = 256,
-             write: bool = True, seed: int = 42, lineage: bool = True):
+             n_iter: int = 3, concurrency=None, write: bool = True,
+             seed: int = 42, lineage: bool = True):
     """Full pipeline.  Returns dict of Datasets:
     ``annotated``, ``ner``, ``triples``, ``nodes``, ``edges``.
 
     With ``lineage=True`` every block of the obs-encode and triple stages
     emits a per-partition lineage record; the table is flushed to
     ``<workdir>/lineage`` at the end (north rule)."""
+    import glob
+
+    import pyarrow.parquet as pq
+
     from ..stages.kg import make_decode_triple_fn
-    from ..stages.util import target_blocks, with_lineage
+    from ..stages.util import blocks_for_rows, with_lineage
     from ..state.lineage import flush_lineage, get_lineage_actor
 
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
@@ -211,10 +215,13 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
 
     # single materialization point: turn sources, conversation sources and
     # obs encoding run in one grouped stage, one parquet write
-    nblocks = target_blocks()
     obs_dir = write_obs(turns_ds, workdir, gazetteers=gaz,
                         first_names=first_names, concurrency=concurrency,
                         lin_actor=lin_actor)
+    # both obs reads are sized from the footers' row counts
+    nblocks = blocks_for_rows(sum(
+        pq.read_metadata(f).num_rows
+        for f in glob.glob(os.path.join(obs_dir, "*.parquet"))))
     # lazy full read (text + nested mentions) — only executed if the
     # caller consumes the annotated corpus
     annotated = rd.read_parquet(obs_dir, override_num_blocks=nblocks)
@@ -232,7 +239,8 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     # fused decode+link+triple stage over ONE pruned read (drops the wide
     # nested `mentions` column from the scan): each turn is Viterbi-decoded
     # once and both the ner spans and the triples come out of the same
-    # pass, tagged by `kind`
+    # pass, tagged by `kind`.  Each obs block is one call, so its
+    # decode-memo misses share one hmm.decode_block pattern table and tiles
     obs_min = rd.read_parquet(
         obs_dir, columns=["conv_id", "turn_idx", "text", "n_tokens",
                           "o_t", "o_s", "o_state", "o_conf"],
@@ -240,8 +248,7 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     combined = obs_min.map_batches(
         with_lineage(make_decode_triple_fn(params_ref, gaz_ref),
                      "decode_triples", lin_actor),
-        batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True)
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
     if write:
         combined = rd.read_parquet(
@@ -403,16 +410,19 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
 def graph_tables(triples_ds):
     """Canonicalization + graph materialization.
 
-    nodes: one row per linked entity id (exact dedup via grouped aggregate —
-    hash-partition on the id, SURVEY.md §2.7), counting mentions over both
-    triple slots.  edges: weight = triple multiplicity, sorted by
-    (src_id, pred) for a deterministic, resumable layout."""
+    nodes: one row per linked entity id, counting mentions over both
+    triple slots.  edges: weight = triple multiplicity.  Both are counted
+    after ONE exchange: a sort on the unified ``(kind, k1, k2, k3)`` key,
+    then a whole-block pyarrow ``group_by`` count per sorted block.  The
+    count is exact because a sort range never splits a key (the pattern
+    the annotate stage relies on for conversations).  Both tables end
+    globally sorted — nodes by ``entity_id``, edges by ``(src_id, pred)``
+    — for a deterministic, resumable layout."""
 
     def tagged_rows(batch: pa.Table) -> pa.Table:
         # one pass emits node-endpoint rows (kind 'n') and edge rows
-        # (kind 'e') into a unified key schema, so ONE shuffle aggregates
-        # both tables instead of two separate groupby exchanges
-        import pyarrow.compute as pc
+        # (kind 'e') into a unified key schema, so ONE exchange counts
+        # both tables instead of two
         n = batch.num_rows
         k1 = pa.chunked_array([batch.column("subj_id"),
                                batch.column("obj_id"),
@@ -426,13 +436,22 @@ def graph_tables(triples_ds):
         kind = pa.array(["n"] * (2 * n) + ["e"] * n, pa.string())
         return pa.table({"kind": kind, "k1": k1, "k2": k2, "k3": k3})
 
-    # materialize the aggregated counts (small: one row per distinct
-    # node/edge, not per input row) so the nodes and edges branches don't
-    # re-run the shuffle twice when consumed separately
+    keys = ["kind", "k1", "k2", "k3"]
+
+    def count_keys(b: pa.Table) -> pa.Table:
+        # a sorted block holds every row of each of its keys
+        c = b.group_by(keys, use_threads=False) \
+            .aggregate([([], "count_all")])
+        return c.select(keys).append_column("n", c.column("count_all"))
+
+    # materialize the counts (small: one row per distinct node/edge, not
+    # per input row) so the nodes and edges branches don't re-run the
+    # exchange when consumed separately
     agg = (triples_ds.map_batches(tagged_rows, batch_format="pyarrow",
                                   zero_copy_batch=True)
-           .groupby(["kind", "k1", "k2", "k3"])
-           .aggregate(Count(alias_name="n"))
+           .sort(keys)
+           .map_batches(count_keys, batch_format="pyarrow",
+                        batch_size=None, zero_copy_batch=True)
            .materialize())
 
     def to_nodes(b: pa.Table) -> pa.Table:

@@ -184,7 +184,10 @@ def annotate_pipeline(turns, bank_inputs_ref, *, concurrency=None,
     exchange never carries annotation payloads (SURVEY.md §3 EP1).  It is
     the sort ``groupby(...).map_groups`` runs, followed by one whole-block
     call, so a block's groups share one output table and one lineage
-    record.
+    record.  The windowing map before it coalesces the raw turns into
+    ``stages.util.blocks_for_rows`` blocks (about ``MIN_BLOCK_ROWS`` rows
+    each), and the sort keeps that block count: a small corpus runs as one
+    task per core instead of ``target_blocks()`` tiny ones.
 
     Skew control: the group key is ``(conv_id, turn_idx // max_conv_window)``
     — for every conversation at or under the window size (the normal case)
@@ -196,13 +199,18 @@ def annotate_pipeline(turns, bank_inputs_ref, *, concurrency=None,
     unbounded by one hot key).
     """
 
+    from .util import blocks_for_rows
+
     def add_window(t: pa.Table) -> pa.Table:
         win = pc.cast(pc.divide(t.column("turn_idx"),
                                 max_conv_window), pa.int32())
         return t.append_column("_win", win)
 
+    # count() reads only metadata for parquet reads and in-memory data
+    rows = turns.count()
+    batch_size = max(1, -(-rows // blocks_for_rows(rows)))
     return turns.map_batches(add_window, batch_format="pyarrow",
-                             zero_copy_batch=True) \
+                             batch_size=batch_size, zero_copy_batch=True) \
         .sort(["conv_id", "_win"]) \
         .map_batches(make_full_conv_annotate_fn(bank_inputs_ref, lin_actor),
                      batch_format="pyarrow", batch_size=None,
