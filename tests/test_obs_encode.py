@@ -1,16 +1,23 @@
 """The obs table and the two overlap votes that feed it.
 
-The sequential oracle (``oracle.py``) calls the same ``layers_to_obs``,
-``specialise_annotations`` and ``doc_majority`` as the pipeline, so the
-oracle-parity tests cannot see a mistake in them.  These tests pin the obs
-table bytes instead, and check the per-span vote caches against the plain
-``get_overlaps`` loops they replace.
+The pipeline encodes a block's obs columns in one vectorised call
+(``encode.encode_obs_columns``); the sequential oracle (``oracle.py``)
+encodes turn by turn with ``layers_to_obs`` and ``specialise_annotations``.
+The oracle-parity tests therefore see a mistake in either encoder.  These
+tests pin the obs table bytes, check the block encoder against the
+per-turn reference (``layers_to_obs`` plus :class:`ReferenceObs`) on random
+and hand-built layers, and check the per-span vote caches against the
+plain ``get_overlaps`` loops they replace.  ``doc_majority`` is still
+shared by both sides.
 """
 
 import hashlib
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ray.data as rd
 
@@ -241,3 +248,146 @@ def test_canonical_layers_match_the_column_round_trip(bank):
     assert all(list(canon.by_source[s]) == list(trip.by_source[s])
                for s in canon.by_source)
     assert canon.by_source["doc_history"][(40, 42)][2][1] != 0.4
+
+
+# ---- the block encoder against the per-turn reference ---------------------
+
+class ReferenceObs:
+    """The per-turn flattening the block encoder replaces: each turn's
+    ``TurnObs`` cells in sorted (token, source) order, states in insertion
+    order, and the blake2b fingerprint of the turn's pattern."""
+
+    def __init__(self):
+        self.o_t, self.o_s, self.o_state, self.o_conf = [], [], [], []
+        self.offsets = [0]
+        self.fps = []
+
+    def add(self, obs):
+        lo = self.offsets[-1]
+        for (t, s) in sorted(obs.fired):
+            for state, conf in obs.fired[(t, s)].items():
+                self.o_t.append(t)
+                self.o_s.append(s)
+                self.o_state.append(state)
+                self.o_conf.append(conf)
+        self.offsets.append(len(self.o_t))
+        h = hashlib.blake2b(digest_size=8)
+        h.update(int(obs.n_tokens).to_bytes(4, "little"))
+        h.update(np.asarray(self.o_t[lo:], np.int32).tobytes())
+        h.update(np.asarray(self.o_s[lo:], np.int32).tobytes())
+        h.update(np.asarray(self.o_state[lo:], np.int32).tobytes())
+        h.update(np.asarray(self.o_conf[lo:], np.float64).tobytes())
+        self.fps.append(int.from_bytes(h.digest(), "little") >> 1)
+
+    def column(self, name):
+        flat = getattr(self, name)
+        return [flat[a:b] for a, b in zip(self.offsets[:-1],
+                                          self.offsets[1:])]
+
+
+def assert_block_matches_reference(layers_list, n_tokens):
+    """``encode_layers`` on the whole block equals ``layers_to_obs`` turn
+    by turn, bit for bit; returns the block's columns."""
+    from weak_supervision_for_ner_ray.stages.encode import (
+        canonical_layers, encode_layers, layers_to_obs)
+
+    got = encode_layers([l.copy() for l in layers_list], n_tokens)
+    ref = ReferenceObs()
+    for layers, nt in zip(layers_list, n_tokens):
+        ref.add(layers_to_obs(canonical_layers(layers), nt))
+    assert got["obs_fp"].to_pylist() == ref.fps
+    for name in ("o_t", "o_s", "o_state", "o_conf"):
+        assert got[name].to_pylist() == ref.column(name), name
+    return got
+
+
+def _layers(by_source):
+    from weak_supervision_for_ner_ray.functions.spans import Layers
+
+    layers = Layers()
+    layers.by_source = by_source
+    return layers
+
+
+def _source_idx(name):
+    from weak_supervision_for_ner_ray.sources.registry import SOURCE_INDICES
+    return SOURCE_INDICES[name]
+
+
+# voters and sources the specialise vote skips; generic and plain labels
+_SOURCES = ["BTC", "conll2003", "core_web_md", "doc_history", "wiki_cased",
+            "compound_detector", "nnp_detector", "proper_detector"]
+_LABELS = ["ENT", "MISC", "PERSON", "ORG", "GPE", "PRODUCT", "DATE"]
+_span = st.tuples(st.integers(0, 12), st.integers(1, 4)).map(
+    lambda p: (p[0], p[0] + p[1]))
+_values = st.lists(st.tuples(st.sampled_from(_LABELS),
+                             st.floats(0.0625, 1.0, width=32)),
+                   min_size=1, max_size=3, unique_by=lambda v: v[0]).map(
+    tuple)
+_turn = st.tuples(
+    st.dictionaries(st.sampled_from(_SOURCES),
+                    st.dictionaries(_span, _values, max_size=5),
+                    max_size=6),
+    st.integers(0, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_turn, min_size=1, max_size=6))
+def test_block_encoder_matches_per_turn_reference(turns):
+    assert_block_matches_reference([_layers(b) for b, _ in turns],
+                                   [nt for _, nt in turns])
+
+
+def test_block_encoder_keeps_the_binary_search_miss():
+    """The window ``_binary_search`` returns for (8, 9) over voter spans
+    (0, 10), (2, 3), (5, 6) holds only (5, 6), so the overlapping (0, 10)
+    casts no vote and the generic span goes unresolved."""
+    from weak_supervision_for_ner_ray.functions.spans import _binary_search
+
+    intervals = [(0, 10), (2, 3), (5, 6)]
+    assert intervals[slice(*_binary_search(8, 9, intervals))] == [(5, 6)]
+    voter = {span: (("ORG", 0.5),) for span in intervals}
+    got = assert_block_matches_reference(
+        [_layers({"core_web_md": voter,
+                  "proper_detector": {(8, 9): (("ENT", 1.0),)}})], [12])
+    assert got["o_s"].to_pylist() == [[_source_idx("core_web_md")] * 12]
+
+
+def test_block_encoder_generic_value_replaces_the_whole_span():
+    from weak_supervision_for_ner_ray.constants import LABEL_INDICES
+
+    got = assert_block_matches_reference(
+        [_layers({"BTC": {(0, 2): (("ENT", 0.5), ("PERSON", 0.5))},
+                  "core_web_md": {(0, 2): (("ORG", 1.0),)}})], [4])
+    btc = _source_idx("BTC")
+    states = {st_ for s, st_ in zip(got["o_s"].to_pylist()[0],
+                                    got["o_state"].to_pylist()[0])
+              if s == btc}
+    # B-ORG and L-ORG only: the PERSON value went with the span's tuple
+    assert states == {LABEL_INDICES["B-ORG"], LABEL_INDICES["L-ORG"]}
+
+
+def test_block_encoder_two_generic_values_on_one_span():
+    assert_block_matches_reference(
+        [_layers({"nnp_detector": {(0, 3): (("ENT", 0.4), ("MISC", 0.6))},
+                  "core_web_md": {(0, 3): (("ORG", 0.7), ("PERSON", 0.3))},
+                  "conll2003": {(1, 2): (("GPE", 1.0),)}})], [3])
+
+
+def test_block_encoder_spans_at_and_across_the_turn_end():
+    got = assert_block_matches_reference(
+        [_layers({"core_web_md": {(1, 5): (("ORG", 1.0),),
+                                  (3, 4): (("DATE", 1.0),),
+                                  (6, 7): (("GPE", 1.0),)}})], [3])
+    assert got["o_t"].to_pylist() == [[1, 2]]
+
+
+def test_block_encoder_empty_turns():
+    """Zero-token turns and turns without mentions, mixed with a turn that
+    fires, in one block."""
+    fires = {"core_web_md": {(0, 1): (("PERSON", 1.0),)},
+             "proper_detector": {(0, 1): (("ENT", 1.0),)}}
+    got = assert_block_matches_reference(
+        [_layers({}), _layers(dict(fires)), _layers(dict(fires)),
+         _layers({}), _layers(dict(fires))], [0, 0, 2, 3, 1])
+    assert [len(x) for x in got["o_t"].to_pylist()] == [0, 0, 2, 0, 2]

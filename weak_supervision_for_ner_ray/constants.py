@@ -196,6 +196,7 @@ CURRENCY_CODES = {"USD", "EUR", "CNY", "JPY", "GBP", "NOK", "DKK", "CAD",
                   "QAR", "SEK", "SYP", "TRY", "UAH", "AED", "AUD", "COP",
                   "MYR", "SGD", "NZD", "THB", "HUF", "HKD", "ZAR", "PHP",
                   "KES", "EGP", "PKR", "PLN", "XAU", "VND", "GBX"}
+CURRENCIES = CURRENCY_CODES | CURRENCY_SYMBOLS
 NOT_NAMED_ENTITIES = {"EPS", "No", "Nb", "n't", "n’t"}
 
 LEGAL_SUFFIXES = {

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import re
 
-from ..constants import (COUNTRIES, CURRENCY_CODES, CURRENCY_SYMBOLS, DAYS,
-                         DAYS_ABBRV, EVENTS, FACILITIES, LANGUAGES, LEGAL,
-                         LEGAL_SUFFIXES, MAGNITUDES, MONTHS, MONTHS_ABBRV,
-                         NAME_PREFIXES, NORPS, ORDINALS, ROMAN_NUMERALS,
-                         UNITS)
+from ..constants import (COUNTRIES, CURRENCIES, DAYS, DAYS_ABBRV, EVENTS,
+                         FACILITIES, LANGUAGES, LEGAL, LEGAL_SUFFIXES,
+                         MAGNITUDES, MONTHS, MONTHS_ABBRV, NAME_PREFIXES,
+                         NORPS, ORDINALS, ROMAN_NUMERALS, UNITS)
 from ..tokenizer import Doc
 from .spans import (Layers, SpanGenerator, get_spans,
                     likely_proper_and_compound, merge_contiguous_spans)
@@ -28,7 +27,8 @@ _HAS_DIGIT_RE = re.compile(r"\d")
 _DAY_SET = DAYS | DAYS_ABBRV
 _MONTH_SET = MONTHS | MONTHS_ABBRV
 _AMPM = {"am", "pm", "a.m.", "p.m.", "am.", "pm."}
-_MONEY_SUFFIX = CURRENCY_CODES | CURRENCY_SYMBOLS | {"euros", "cents", "rubles"}
+_MONEY_SUFFIX = CURRENCIES | {"euros", "cents", "rubles"}
+_MONEY_AFTER_NUMBER = _MONEY_SUFFIX | {"dollars", "pounds"}
 _PERCENT_TOKENS = {"%", "percent", "pc.", "pc", "pct", "pct.", "percents",
                    "percentage"}
 _LEGAL_HEADS = {"Article", "Paragraph", "Section", "Chapter", "§"}
@@ -102,8 +102,7 @@ def money_detector(doc: Doc, layers: Layers):
                              or doc.lowers[j] in MAGNITUDES):
                 j += 1
             found_symbol = False
-            if i > 0 and doc.tokens[i - 1] in (CURRENCY_CODES
-                                               | CURRENCY_SYMBOLS):
+            if i > 0 and doc.tokens[i - 1] in CURRENCIES:
                 i -= 1
                 found_symbol = True
             if j < n and doc.tokens[j] in _MONEY_SUFFIX:
@@ -254,7 +253,7 @@ def snips_detector(doc: Doc, layers: Layers):
     i = 0
     while i < n:
         tok = doc.tokens[i]
-        if tok in CURRENCY_CODES | CURRENCY_SYMBOLS and i < n - 1 \
+        if tok in CURRENCIES and i < n - 1 \
                 and doc.tokens[i + 1][:1].isdigit():
             j = i + 1
             while j < n and (doc.tokens[j][:1].isdigit()
@@ -264,8 +263,7 @@ def snips_detector(doc: Doc, layers: Layers):
             claim(i, j)
             i = j
         elif tok[:1].isdigit() and i < n - 1 \
-                and doc.tokens[i + 1] in CURRENCY_CODES | CURRENCY_SYMBOLS | \
-                {"euros", "cents", "rubles", "dollars", "pounds"}:
+                and doc.tokens[i + 1] in _MONEY_AFTER_NUMBER:
             yield i, i + 2, "MONEY"
             claim(i, i + 2)
             i += 2

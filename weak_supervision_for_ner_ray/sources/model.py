@@ -16,10 +16,10 @@ source-name interface)".
 
 from __future__ import annotations
 
-from ..constants import (COUNTRIES, CURRENCY_CODES, CURRENCY_SYMBOLS, DAYS,
-                         DAYS_ABBRV, EVENTS, FACILITIES, LANGUAGES, LEGAL,
-                         LEGAL_SUFFIXES, MAGNITUDES, MONTHS, MONTHS_ABBRV,
-                         NORPS, ORDINALS)
+from ..constants import (COUNTRIES, CURRENCIES, CURRENCY_CODES,
+                         CURRENCY_SYMBOLS, DAYS, DAYS_ABBRV, EVENTS,
+                         FACILITIES, LANGUAGES, LEGAL, LEGAL_SUFFIXES,
+                         MAGNITUDES, MONTHS, MONTHS_ABBRV, NORPS, ORDINALS)
 from ..functions.spans import SpanGenerator
 from ..state.trie import TokenTrie
 from ..tokenizer import Doc, in_compound
@@ -48,6 +48,12 @@ class HeuristicNER:
         self._proper = SpanGenerator(
             lambda d, i: d.likely_proper[i],
             exceptions=("'s", "’s", "-", "of", "de", "van", "von"))
+
+    def filter(self, doc: Doc, ents: list[tuple[int, int, str]]
+               ) -> list[tuple[int, int, str]]:
+        """This model's output given the base model's ``ents``: the base
+        model is its own base, so unchanged."""
+        return ents
 
     def predict(self, doc: Doc) -> list[tuple[int, int, str]]:
         n = len(doc)
@@ -106,7 +112,7 @@ class HeuristicNER:
             elif tok.isdigit() and 1920 < int(tok) < 2040:
                 claim(i, i + 1, "DATE")
                 i += 1
-            elif tok in CURRENCY_SYMBOLS | CURRENCY_CODES and i < n - 1 \
+            elif tok in CURRENCIES and i < n - 1 \
                     and doc.tokens[i + 1][:1].isdigit():
                 j = i + 1
                 while j < n and (doc.tokens[j][:1].isdigit()
@@ -173,7 +179,19 @@ class HeuristicNER:
         return ents
 
 
-class ConllNER:
+class _FilteredNER:
+    """A model profile over the shared :class:`HeuristicNER`: ``filter``
+    turns the base model's entities into this profile's, so a caller that
+    runs several profiles predicts with the base model once per doc."""
+
+    def __init__(self, base: HeuristicNER):
+        self.base = base
+
+    def predict(self, doc: Doc) -> list[tuple[int, int, str]]:
+        return self.filter(doc, self.base.predict(doc))
+
+
+class ConllNER(_FilteredNER):
     """Stand-in for the reference's ``data/conll2003`` spaCy model
     (annotations.py:331): newswire profile — entity labels only
     (PERSON/ORG/COMPANY/GPE/LOC), no numeric/date/money output, prefers
@@ -183,12 +201,10 @@ class ConllNER:
 
     KEEP = {"PERSON", "ORG", "COMPANY", "GPE", "LOC"}
 
-    def __init__(self, base: HeuristicNER):
-        self.base = base
-
-    def predict(self, doc: Doc) -> list[tuple[int, int, str]]:
+    def filter(self, doc: Doc, ents: list[tuple[int, int, str]]
+               ) -> list[tuple[int, int, str]]:
         out = []
-        for s, e, lab in self.base.predict(doc):
+        for s, e, lab in ents:
             if lab not in self.KEEP:
                 continue
             # newswire: all tokens cleanly title- or upper-cased, no digits
@@ -202,7 +218,7 @@ class ConllNER:
         return out
 
 
-class BtcNER:
+class BtcNER(_FilteredNER):
     """Stand-in for ``data/BTC`` (Broad Twitter Corpus, annotations.py:332):
     social-media profile — short mentions (≤3 tokens), PERSON/ORG/COMPANY/
     GPE only, and additionally fires on *uncased* knowledge matches (tweets
@@ -211,13 +227,11 @@ class BtcNER:
 
     KEEP = {"PERSON", "ORG", "COMPANY", "GPE"}
 
-    def __init__(self, base: HeuristicNER):
-        self.base = base
-
-    def predict(self, doc: Doc) -> list[tuple[int, int, str]]:
+    def filter(self, doc: Doc, ents: list[tuple[int, int, str]]
+               ) -> list[tuple[int, int, str]]:
         out = []
         taken = [False] * len(doc)
-        for s, e, lab in self.base.predict(doc):
+        for s, e, lab in ents:
             if lab in self.KEEP and e - s <= 3:
                 out.append((s, e, lab))
                 for k in range(s, e):
@@ -245,18 +259,16 @@ class BtcNER:
         return out
 
 
-class SecNER:
+class SecNER(_FilteredNER):
     """Stand-in for ``data/SEC-filings`` (annotations.py:333): financial-
     filings profile — very sparse output (priors (0.1, 0.1),
     labelling.py:32-33): only legal-suffix organisations, full person names
     and country mentions."""
 
-    def __init__(self, base: HeuristicNER):
-        self.base = base
-
-    def predict(self, doc: Doc) -> list[tuple[int, int, str]]:
+    def filter(self, doc: Doc, ents: list[tuple[int, int, str]]
+               ) -> list[tuple[int, int, str]]:
         out = []
-        for s, e, lab in self.base.predict(doc):
+        for s, e, lab in ents:
             last = doc.lowers[e - 1].rstrip(".")
             if lab in {"ORG", "COMPANY"} and last in LEGAL_SUFFIXES:
                 out.append((s, e, "ORG"))
@@ -345,7 +357,7 @@ def correct_entities(doc: Doc,
 
     # currency symbol followed by numeric value, still undetected
     for i in range(n):
-        if (doc.tokens[i] in CURRENCY_CODES | CURRENCY_SYMBOLS
+        if (doc.tokens[i] in CURRENCIES
                 and ent_type[i] != "MONEY" and i < n - 1
                 and (doc.tokens[i + 1][:1].isdigit()
                      or doc.tokens[i + 1] in CURRENCY_SYMBOLS)):

@@ -259,11 +259,13 @@ class LFBank:
         run(det.snips_detector, "snips")
 
         # model sources: raw + corrected layer per model
-        # (annotations.py:326-334, 503-515)
+        # (annotations.py:326-334, 503-515); the four profiles share one
+        # base prediction
+        base_ents = self.model.predict(doc)
         for mname in MODEL_NAMES:
             layers.clear_source(mname)
             layers.clear_source(mname + "+c")
-            ents = self.models[mname].predict(doc)
+            ents = self.models[mname].filter(doc, base_ents)
             for start, end, label in ents:
                 add(start, end, label, mname)
             for start, end, label in correct_entities(doc, ents):

@@ -2,10 +2,16 @@
 
 The ``mentions`` intermediate is a nested Arrow column
 ``list<struct<source, start, end, label, conf>>`` per turn (SURVEY.md §1.3),
-kept in ``batch_format="pyarrow"`` end-to-end.  This module provides the
-zero-ish-copy builders and the sequence-extraction semantics
-(``specialise_annotations``, labelling.py:175-213) that turn a turn's layers
-into the sparse HMM observation.
+kept in ``batch_format="pyarrow"`` end-to-end.  The pipeline builds it with
+:class:`MentionsBuilder` and turns it into the sparse HMM observation with
+one vectorised call per block, :func:`encode_obs_columns`: the ENT/MISC
+specialise vote (labelling.py:175-213), the BILU spread (labelling.py:
+144-172), the per-(token, source) cell sums and each turn's pattern
+fingerprint, all over the block's flat mention arrays.
+
+:func:`specialise_annotations` and :func:`layers_to_obs` are the per-turn
+reference of the same semantics; the sequential oracle runs them, and the
+tests hold the block encoder to them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ import pyarrow as pa
 
 from ..functions.spans import Layers, _binary_search
 from ..sources.registry import SOURCE_INDICES, SOURCE_NAMES, SOURCE_PRIORS
-from ..state.hmm import TurnObs
+from ..state.hmm import N_SOURCES, N_STATES, TurnObs
 
 # internal nested mention struct uses integer-coded source/label ids: ~3x
 # smaller shuffle/parquet payloads than strings, and column-wise decoding
 # without materialising python dicts.  The public long-form mentions table
 # re-expands ids to names.
-from ..constants import LABELS
+from ..constants import LABEL_INDICES, LABELS
 
 LABEL_VOCAB = LABELS + ["ENT", "MISC", "PER"]
 LABEL_IDS = {lab: i for i, lab in enumerate(LABEL_VOCAB)}
@@ -222,83 +228,214 @@ def layers_to_obs(layers: Layers, n_tokens: int) -> TurnObs:
     return obs
 
 
-class ObsBuilder:
-    """Accumulates per-turn observations into the flattened obs columns
-    (``o_t``/``o_s``/``o_state``/``o_conf`` lists in (token, source) order)
-    and each turn's pattern fingerprint ``obs_fp``."""
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """``range(start, start + count)`` for each pair, concatenated, and the
+    index of the pair each element comes from."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return starts[owner] + np.arange(owner.size) - first[owner], owner
 
-    def __init__(self):
-        self.o_t: list[int] = []
-        self.o_s: list[int] = []
-        self.o_state: list[int] = []
-        self.o_conf: list[float] = []
-        self.offsets: list[int] = [0]
-        self.fps: list[int] = []
 
-    def add(self, obs: TurnObs) -> None:
-        lo = self.offsets[-1]
-        for (t, s) in sorted(obs.fired):
-            for state, conf in obs.fired[(t, s)].items():
-                self.o_t.append(t)
-                self.o_s.append(s)
-                self.o_state.append(state)
-                self.o_conf.append(conf)
-        self.offsets.append(len(self.o_t))
-        # observation-pattern fingerprint: the EM shard dedup groups
-        # turns by this key, then verifies byte-equality of the actual
-        # pattern within each group before merging weights
-        # (em_actors._dedup_rows) — so a 63-bit collision costs a little
-        # dedup, never correctness
-        h = hashlib.blake2b(digest_size=8)
-        h.update(int(obs.n_tokens).to_bytes(4, "little"))
-        h.update(np.asarray(self.o_t[lo:], np.int32).tobytes())
-        h.update(np.asarray(self.o_s[lo:], np.int32).tobytes())
-        h.update(np.asarray(self.o_state[lo:], np.int32).tobytes())
-        h.update(np.asarray(self.o_conf[lo:], np.float64).tobytes())
-        self.fps.append(int.from_bytes(h.digest(), "little") >> 1)
+# the block encoder's lookup tables, by source index and label id
+_N_LABELS = len(LABEL_VOCAB)
+_PRIOR = np.array([[SOURCE_PRIORS.get(s, {}).get(lab, (0.5, 0.5))[0]
+                    for lab in LABEL_VOCAB] for s in SOURCE_NAMES])
+_IS_VOTER = np.isin(SOURCE_NAMES, _SPECIALISE_VOTERS)
+_GENERIC = np.isin(LABEL_VOCAB, ["ENT", "MISC"])
+# B- state of each label; I-, L- and U- follow at +1, +2, +3
+_B_STATE = np.array([LABEL_INDICES.get("B-" + lab, -1)
+                     for lab in LABEL_VOCAB])
+# the mentions column stores sources in name order, and the vote visits
+# voters in SOURCE_NAMES order: the two agree only while the names sort
+assert SOURCE_NAMES == sorted(SOURCE_NAMES)
 
-    def columns(self) -> dict[str, pa.Array]:
-        off = pa.array(self.offsets, pa.int32())
 
-        def lists(values, typ):
-            return pa.ListArray.from_arrays(off, pa.array(values, typ))
+def _specialised(row, src, st, en, lab, conf):
+    """:func:`specialise_annotations` over a block's flat mentions.
+    Returns the block's distinct spans as ``(row, source, start, end)``
+    arrays, and the specialised values as ``(span, label, conf)`` arrays in
+    the order :func:`layers_to_obs` visits them, ``span`` indexing the
+    former.
 
-        return {
-            "obs_fp": pa.array(self.fps, pa.int64()),
-            "o_t": lists(self.o_t, pa.int32()),
-            "o_s": lists(self.o_s, pa.int32()),
-            "o_state": lists(self.o_state, pa.int32()),
-            "o_conf": lists(self.o_conf, pa.float64()),
-        }
+    Each span holding a generic value takes the votes of the voter spans
+    that :func:`_binary_search` finds overlapping it, cast in voter, span,
+    value order.  Only the span's last generic value counts, since its new
+    value tuple replaces the earlier ones'."""
+    m = len(src)
+    new = np.ones(m, bool)
+    new[1:] = ((row[1:] != row[:-1]) | (src[1:] != src[:-1])
+               | (st[1:] != st[:-1]) | (en[1:] != en[:-1]))
+    first = np.flatnonzero(new)
+    span_of = np.cumsum(new) - 1
+    n_vals = np.diff(np.append(first, m))
+    sp_row, sp_src, sp_st, sp_en = row[first], src[first], st[first], \
+        en[first]
+    # one group per (row, source); the voter groups of a row are
+    # contiguous and in SOURCE_NAMES order
+    g_new = np.ones(len(first), bool)
+    g_new[1:] = (sp_row[1:] != sp_row[:-1]) | (sp_src[1:] != sp_src[:-1])
+    g_first = np.flatnonzero(g_new)
+    g_n = np.diff(np.append(g_first, len(first)))
+    voters = np.flatnonzero(_IS_VOTER[sp_src[g_first]])
+    v_row = sp_row[g_first[voters]]
+
+    gen = np.flatnonzero(_GENERIC[lab])
+    last = np.ones(len(gen), bool)
+    last[:-1] = span_of[gen[1:]] != span_of[gen[:-1]]
+    q = gen[last]
+    # the votes on a span do not depend on the source holding it, so each
+    # distinct (row, start, end) probes the voters once
+    n_pos = int(en.max()) + 1 if m else 1
+    _, u, q_u = np.unique((row[q] * n_pos + st[q]) * n_pos + en[q],
+                          return_index=True, return_inverse=True)
+    u = q[u]
+    # (query span, voter group) pairs, expanded within the span's row
+    v_lo = np.searchsorted(v_row, row[u], "left")
+    v_hi = np.searchsorted(v_row, row[u], "right")
+    pv, pu = _expand(v_lo, v_hi - v_lo)
+    base = g_first[voters[pv]]
+    lo = np.zeros(len(pu), np.int64)
+    hi = g_n[voters[pv]]
+    a, b = st[u][pu], en[u][pu]
+    # _binary_search, all pairs in lockstep
+    live = np.flatnonzero(lo < hi - 1)
+    while live.size:
+        mid = lo[live] + (hi[live] - lo[live]) // 2
+        left = sp_en[base[live] + mid] <= a[live]
+        right = ~left & (sp_st[base[live] + mid] >= b[live])
+        lo[live[left]] = mid[left]
+        hi[live[right]] = mid[right]
+        live = live[left | right]
+        live = live[lo[live] < hi[live] - 1]
+    cand, cp = _expand(base + lo, hi - lo)
+    hit = (a[cp] < sp_en[cand]) & (b[cp] > sp_st[cand])
+    cand, cp = cand[hit], cp[hit]
+    vm, vo = _expand(first[cand], n_vals[cand])
+    keep = ~_GENERIC[lab[vm]]
+    vm, vp = vm[keep], cp[vo[keep]]
+    same = (st[vm] == a[vp]) & (en[vm] == b[vp])
+    w = np.where(same, conf[vm], 0.3 * conf[vm]) * _PRIOR[src[vm], lab[vm]]
+    # each generic value replays its span's votes, skipping its own source
+    cast_n = np.bincount(pu[vp], minlength=len(u))
+    vi, vq = _expand(np.cumsum(cast_n)[q_u] - cast_n[q_u], cast_n[q_u])
+    own = src[vm[vi]] == src[q][vq]
+    vi, vq = vi[~own], vq[~own]
+    # label counts per value, labels in first-vote order, sums in vote
+    # order (bincount adds in index order, as the reference loop does)
+    keys, first_vote, inv = np.unique(vq * _N_LABELS + lab[vm[vi]],
+                                      return_index=True, return_inverse=True)
+    sums = np.bincount(inv, weights=conf[q][vq] * w[vi], minlength=len(keys))
+    order = np.argsort(first_vote, kind="stable")
+    keys, sums = keys[order], sums[order]
+    kq, klab = keys // _N_LABELS, keys % _N_LABELS
+    total = np.bincount(kq, weights=sums, minlength=len(q))
+    new_conf = _PRIOR[src[q][kq], klab] * sums / total[kq]
+
+    replaced = np.zeros(len(first), bool)
+    replaced[span_of[q]] = True
+    kept = ~replaced[span_of]
+    e_span = np.concatenate([span_of[kept], span_of[q][kq]])
+    order = np.argsort(e_span, kind="stable")
+    return ((sp_row, sp_src, sp_st, sp_en), e_span[order],
+            np.concatenate([lab[kept], klab])[order],
+            np.concatenate([conf[kept], new_conf])[order])
+
+
+def encode_obs_columns(mentions, n_tokens) -> dict[str, pa.Array]:
+    """The obs columns (``obs_fp``, ``o_t``, ``o_s``, ``o_state``,
+    ``o_conf``) of a block's canonical ``mentions`` column: byte for byte
+    what :func:`layers_to_obs` gives turn by turn, flattened in (token,
+    source) order with each cell's states in first-insertion order."""
+    if isinstance(mentions, pa.ChunkedArray):
+        mentions = mentions.combine_chunks()
+    nt = np.asarray(n_tokens, np.int64)
+    n_rows = len(nt)
+    offs = mentions.offsets.to_numpy(zero_copy_only=False)
+    cols = dict(zip([f.name for f in MENTION_TYPE],
+                    mentions.flatten().flatten()))
+    src, st, en, lab = (cols[k].to_numpy(zero_copy_only=False).astype(
+        np.int64) for k in ("source_id", "start", "end", "label_id"))
+    conf = cols["conf"].to_numpy(zero_copy_only=False).astype(np.float64)
+    row = np.repeat(np.arange(n_rows), np.diff(offs))
+    (s_row, s_src, s_st, s_en), e_span, e_lab, e_conf = _specialised(
+        row, src, st, en, lab, conf)
+
+    # BILU spread (TurnObs.add_span): a span fires on the tokens it covers
+    # before the turn's end
+    e_row, e_st = s_row[e_span], s_st[e_span]
+    length = np.maximum(np.minimum(s_en[e_span], nt[e_row]) - e_st, 0)
+    t, c = _expand(e_st, length)
+    b_state = _B_STATE[e_lab[c]]
+    if (b_state < 0).any():
+        raise KeyError(LABEL_VOCAB[e_lab[c][b_state < 0][0]])
+    k, n = t - e_st[c], length[c]
+    state = b_state + np.where(n == 1, 3, np.where(
+        k == 0, 0, np.where(k == n - 1, 2, 1)))
+
+    # cell sums, then cells in (row, t, source) order, states in
+    # first-insertion order
+    n_t = int(nt.max()) + 1 if n_rows else 1
+    cell = ((e_row[c] * n_t + t) * N_SOURCES + s_src[e_span][c]) * N_STATES \
+        + state
+    keys, first, inv = np.unique(cell, return_index=True,
+                                 return_inverse=True)
+    o_conf = np.bincount(inv, weights=e_conf[c], minlength=len(keys))
+    order = np.lexsort((first, keys // N_STATES))
+    keys, o_conf = keys[order], o_conf[order]
+    o_state = (keys % N_STATES).astype(np.int32)
+    keys //= N_STATES
+    o_s = (keys % N_SOURCES).astype(np.int32)
+    keys //= N_SOURCES
+    o_t = (keys % n_t).astype(np.int32)
+    out_off = np.zeros(n_rows + 1, np.int32)
+    np.cumsum(np.bincount(keys // n_t, minlength=n_rows), out=out_off[1:])
+
+    # observation-pattern fingerprint: the EM shard dedup groups turns by
+    # this key, then verifies byte-equality of the actual pattern within
+    # each group before merging weights (em_actors._dedup_rows), so a
+    # 63-bit collision costs a little dedup, never correctness
+    nt4 = nt.astype("<i4")
+    fps = []
+    for i in range(n_rows):
+        lo, hi = out_off[i], out_off[i + 1]
+        h = hashlib.blake2b(nt4[i:i + 1], digest_size=8)
+        for arr in (o_t, o_s, o_state, o_conf):
+            h.update(arr[lo:hi])
+        fps.append(int.from_bytes(h.digest(), "little") >> 1)
+    off = pa.array(out_off)
+    return {
+        "obs_fp": pa.array(fps, pa.int64()),
+        **{name: pa.ListArray.from_arrays(off, pa.array(arr))
+           for name, arr in (("o_t", o_t), ("o_s", o_s),
+                             ("o_state", o_state), ("o_conf", o_conf))},
+    }
 
 
 def encode_layers(layers_list: list[Layers],
                   n_tokens: list[int]) -> dict[str, pa.Array]:
     """Conversation-finished layers -> the ``mentions`` column (canonical,
-    before specialisation) and the obs columns, in one pass per turn."""
-    mentions, obs = MentionsBuilder(), ObsBuilder()
-    for layers, nt in zip(layers_list, n_tokens):
-        obs.add(layers_to_obs(mentions.add_layers(layers), nt))
-    return {"mentions": mentions.finish(), **obs.columns()}
+    before specialisation) and the obs columns of the whole block."""
+    builder = MentionsBuilder()
+    for layers in layers_list:
+        builder.add_layers(layers)
+    mentions = builder.finish()
+    return {"mentions": mentions,
+            **encode_obs_columns(mentions, n_tokens)}
 
 
 def encode_obs_batch(batch: pa.Table) -> pa.Table:
     """Annotated batch (nested ``mentions``) -> obs batch: an Arrow adapter
-    over :func:`layers_to_obs` and :class:`ObsBuilder` for callers that
-    hold an annotated table, such as the kernel timings.  The pipeline
-    encodes inside the grouped annotate stage instead
-    (``stages.annotate``), with no round trip through the column."""
-    rows = MentionRows(batch)
-    obs = ObsBuilder()
-    for i, nt in enumerate(batch.column("n_tokens").to_pylist()):
-        obs.add(layers_to_obs(rows.layers(i), nt))
+    over :func:`encode_obs_columns`, the encoder the grouped annotate stage
+    runs, for callers that hold an annotated table, such as the kernel
+    timings."""
+    n_tokens = batch.column("n_tokens").to_numpy()
     return pa.table({
         "conv_id": batch.column("conv_id"),
         "turn_idx": batch.column("turn_idx"),
         "text": batch.column("text"),
         "n_tokens": batch.column("n_tokens"),
         "mentions": batch.column("mentions"),
-        **obs.columns(),
+        **encode_obs_columns(batch.column("mentions"), n_tokens),
     })
 
 
@@ -388,10 +525,7 @@ class ObsRows:
         of the flat pair arrays)."""
         lens = np.diff(self.offsets)[idx]
         new_off = np.concatenate([[0], np.cumsum(lens)])
-        total = int(new_off[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(new_off[:-1],
-                                                               lens)
-        gather = np.repeat(self.offsets[idx], lens) + within
+        gather, _ = _expand(self.offsets[idx], lens)
         out = ObsRows.__new__(ObsRows)
         out.n_tokens = self.n_tokens[idx]
         out.offsets = new_off

@@ -101,7 +101,9 @@ class HMMParams:
         return h.hexdigest()[:16]
 
     def save(self, path: str) -> None:
-        np.savez_compressed(
+        # uncompressed: EM checkpoints every iteration, and deflating the
+        # prior tensors costs ~6x the write for a ~12x smaller file
+        np.savez(
             path, startprob=self.startprob, transmat=self.transmat,
             emission_probs=self.emission_probs,
             startprob_prior=self.startprob_prior,
