@@ -240,11 +240,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn_graph": lambda sf: ops.knn_graph(sf),
         "ann_lsh_buckets": lambda sf: ops.ann_lsh_buckets(sf),
         "dedup_embedding": lambda sf: ops.dedup_embedding_cosine(sf),
-        # strategy="ids" exercises the 100 TB candidates-then-verify
-        # shuffle in the hash-checked gate (identical pairs to
-        # "replicate" by construction; the oracle is all-pairs SQL)
-        "dedup_embedding_lsh":
-            lambda sf: ops.dedup_embedding_lsh(sf, strategy="ids"),
+        # the oracle is all-pairs SQL
+        "dedup_embedding_lsh": lambda sf: ops.dedup_embedding_lsh(sf),
         "semantic_dedup": lambda sf: ops.semantic_dedup(sf),
         "ann_lsh_query": lambda sf: ops.ann_lsh_query(sf),
         "kmeans_ivf_assign": lambda sf: ops.kmeans_ivf_assign(sf),

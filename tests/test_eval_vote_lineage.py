@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pyarrow as pa
 
 import ray
@@ -158,6 +159,49 @@ def test_snorkel_label_model_vs_majority_vote(ray_session, small_corpus,
     # trained params are checkpointed: a rerun loads them and reproduces
     sn2 = to_arrow(snorkel_table(ds, wd))
     assert tbl.sort_by([(c, "ascending") for c in tbl.column_names])         .equals(sn2.sort_by([(c, "ascending") for c in tbl.column_names]))
+
+
+def _same_ner(a: pa.Table, b: pa.Table) -> None:
+    """Equal spans and labels; confidences equal up to the float order of
+    the per-block E-step sums."""
+    keys = [(c, "ascending") for c in ("conv_id", "turn_idx", "start", "end")]
+    a, b = a.sort_by(keys), b.sort_by(keys)
+    assert a.drop(["conf"]).equals(b.drop(["conf"]))
+    np.testing.assert_allclose(a.column("conf").to_numpy(),
+                               b.column("conf").to_numpy(), atol=1e-6)
+
+
+def test_snorkel_rerun_with_more_iterations_retrains(ray_session,
+                                                     small_corpus,
+                                                     tmp_path_factory):
+    """A saved label model is reused only for the ``n_iter`` it was
+    trained for: n_iter=1 then n_iter=3 in one workdir equals a fresh
+    n_iter=3, not the one-iteration model."""
+    turns, _, _ = small_corpus
+    ds = rd.from_arrow(turns)
+    wd = str(tmp_path_factory.mktemp("snorkel_resume"))
+    to_arrow(snorkel_table(ds, wd, n_iter=1))
+    rerun = to_arrow(snorkel_table(ds, wd, n_iter=3))
+    fresh = to_arrow(snorkel_table(
+        ds, str(tmp_path_factory.mktemp("snorkel_fresh")), n_iter=3))
+    _same_ner(rerun, fresh)
+
+
+def test_snorkel_truncated_label_model_is_retrained(ray_session,
+                                                    small_corpus,
+                                                    tmp_path_factory):
+    """A ``labelmodel.npz`` cut short (a kill mid-write under the old
+    in-place save) is retrained, not a crash on every later rerun."""
+    turns, _, _ = small_corpus
+    ds = rd.from_arrow(turns)
+    wd = str(tmp_path_factory.mktemp("snorkel_trunc"))
+    first = to_arrow(snorkel_table(ds, wd, n_iter=1))
+    path = os.path.join(wd, "labelmodel.npz")
+    with open(path, "rb") as fd:
+        data = fd.read()
+    with open(path, "wb") as fd:
+        fd.write(data[:len(data) // 2])
+    _same_ner(to_arrow(snorkel_table(ds, wd, n_iter=1)), first)
 
 
 def test_baselines_reuse_one_obs_write(ray_session, small_corpus,

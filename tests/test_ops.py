@@ -413,21 +413,77 @@ def test_dedup_embedding_lsh_matches_allpairs(ray_session, docs_dir):
     assert (0, 1) in lsh_pairs and lsh_pairs[(0, 1)] == 1_000_000
 
 
-def test_dedup_embedding_lsh_ids_strategy_matches_replicate(ray_session,
-                                                            docs_dir):
-    """The ids-only shuffle (candidates-then-verify, the 100 TB path —
-    vector payload never rides the ×n_tables bucket exchange) emits the
-    IDENTICAL pair set + sims as the payload-replicating strategy: the
-    candidates are the same shared-bucket pairs and verification is the
-    same exact float64 cosine."""
-    rep = to_arrow(ops.dedup_embedding_lsh(
-        docs_dir, threshold_micro=400_000, strategy="replicate")).to_pydict()
-    ids = to_arrow(ops.dedup_embedding_lsh(
-        docs_dir, threshold_micro=400_000, strategy="ids")).to_pydict()
-    rep_pairs = dict(zip(zip(rep["a"], rep["b"]), rep["sim_micro"]))
-    ids_pairs = dict(zip(zip(ids["a"], ids["b"]), ids["sim_micro"]))
-    assert rep_pairs == ids_pairs
-    assert (0, 1) in ids_pairs and ids_pairs[(0, 1)] == 1_000_000
+def _cogroup_sides(left, right, n_groups):
+    """One row per co-group: the keys and column types each side of the
+    group reached the kernel with."""
+    def report(lt, rt):
+        return pa.table({
+            "lk": [lt.column("k").to_pylist()],
+            "rk": [rt.column("k").to_pylist()],
+            "lv": [lt.column("v").to_pylist()],
+            "ltypes": [[str(t) for t in lt.schema.types]],
+            "rtypes": [[str(t) for t in rt.schema.types]]})
+    return to_arrow(ops._cogroup(left, right, "k", n_groups, report)) \
+        .to_pylist()
+
+
+_LEFT = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                  "v": pa.array([2 ** 62 + 1, -5, 7], pa.int64())})
+_RIGHT = pa.table({"k": pa.array([2, 4], pa.int64()),
+                   "w": pa.array(["x", None], pa.string())})
+
+
+def test_cogroup_colocates_keys_and_keeps_side_types(ray_session):
+    """More groups than keys, a key on both sides and keys on one side
+    only: every key's rows of both sides meet in one group, and each
+    side reaches the kernel in its own schema — the left int64 column
+    keeps a value float64 cannot hold, despite the right rows' nulls."""
+    groups = _cogroup_sides((rd.from_arrow(_LEFT), _LEFT.schema),
+                            (rd.from_arrow(_RIGHT), _RIGHT.schema),
+                            n_groups=64)
+    assert sorted(k for g in groups for k in g["lk"]) == [1, 2, 3]
+    assert sorted(k for g in groups for k in g["rk"]) == [2, 4]
+    assert len(groups) == 4                    # one group per key here
+    (both,) = [g for g in groups if 2 in g["lk"]]
+    assert both["rk"] == [2]
+    assert sorted(v for g in groups for v in g["lv"]) == \
+        [-5, 7, 2 ** 62 + 1]
+    for g in groups:
+        assert g["ltypes"] == ["int64", "int64"]
+        assert g["rtypes"] == ["int64", "string"]
+
+
+def test_cogroup_one_side_empty(ray_session):
+    """An empty side: the anti-join keeps every left row, the semi-join
+    none, and a right side with no rows at all still runs."""
+    empty = rd.from_arrow(_RIGHT.slice(0, 0))
+    for anti, want in ((True, [1, 2, 3]), (False, [])):
+        out = to_arrow(ops._cogroup(
+            (rd.from_arrow(_LEFT), _LEFT.schema), (empty, _RIGHT.schema),
+            "k", 4, ops._match_filter("k", anti=anti)))
+        got = sorted(out.column("k").to_pylist()) if out.num_rows else []
+        assert got == want
+        if out.num_rows:
+            assert out.schema.field("v").type == pa.int64()
+    out = to_arrow(ops._cogroup(
+        (rd.from_arrow(_LEFT.slice(0, 0)), _LEFT.schema),
+        (rd.from_arrow(_RIGHT), _RIGHT.schema),
+        "k", 4, ops._match_filter("k", anti=True)))
+    assert out.num_rows == 0
+
+
+def test_cogroup_schema_less_empty_block(ray_session):
+    """A side carrying a schema-less empty block (what a grouped upstream
+    can emit), guarded with _coalesce_schema_less as the ops do: the
+    anti-join result is exact."""
+    left = rd.from_arrow([pa.table({}), _LEFT])
+    out = to_arrow(ops._cogroup(
+        (ops._coalesce_schema_less(left, n_parts=3), _LEFT.schema),
+        (rd.from_arrow(_RIGHT), _RIGHT.schema),
+        "k", 4, ops._match_filter("k", anti=True)))
+    assert sorted(zip(out.column("k").to_pylist(),
+                      out.column("v").to_pylist())) == \
+        [(1, 2 ** 62 + 1), (3, 7)]
 
 
 @pytest.fixture(scope="module")
@@ -462,8 +518,8 @@ def test_dedup_embedding_lsh_production_threshold(ray_session, neardup_dir):
     exact = to_arrow(ops.dedup_embedding_cosine(
         neardup_dir, threshold_micro=850_000)).to_pydict()
     lsh = to_arrow(ops.dedup_embedding_lsh(
-        neardup_dir, threshold_micro=850_000, n_planes=12, n_tables=8,
-        strategy="ids")).to_pydict()
+        neardup_dir, threshold_micro=850_000, n_planes=12,
+        n_tables=8)).to_pydict()
     exact_pairs = dict(zip(zip(exact["a"], exact["b"]),
                            exact["sim_micro"]))
     lsh_pairs = dict(zip(zip(lsh["a"], lsh["b"]), lsh["sim_micro"]))

@@ -36,9 +36,11 @@ class Layers:
         return out
 
     def add(self, start: int, end: int, label: str, source: str,
-            conf: float = 1.0, to_exclude: tuple[str, ...] = ()) -> None:
-        """annotations.py:159-176 ``BaseAnnotator.add``."""
-        if not self.is_allowed_span(start, end, to_exclude):
+            conf: float = 1.0,
+            excluded: tuple[list[tuple[int, int]], ...] = ()) -> None:
+        """annotations.py:159-176 ``BaseAnnotator.add``; ``excluded`` is
+        :meth:`intervals` of the sources the span may not overlap."""
+        if not is_allowed_span(start, end, excluded):
             return
         spans = self.by_source.setdefault(source, {})
         if (start, end) not in spans:
@@ -53,16 +55,23 @@ class Layers:
             conf = conf / total
         spans[(start, end)] = (*current, (label, conf))
 
-    def is_allowed_span(self, start: int, end: int,
-                        to_exclude: tuple[str, ...]) -> bool:
-        """Interval anti-join against excluded sources (annotations.py:180-190)."""
-        for source in to_exclude:
-            intervals = list(self.by_source.get(source, ()))
-            lo, hi = _binary_search(start, end, intervals)
-            for s2, e2 in intervals[lo:hi]:
-                if start < e2 and end > s2:
-                    return False
-        return True
+    def intervals(self, sources: tuple[str, ...]
+                  ) -> tuple[list[tuple[int, int]], ...]:
+        """Each source's spans in insertion order — built once per source
+        run, since the excluded sources do not change while another
+        source adds its spans."""
+        return tuple(list(self.by_source.get(s, ())) for s in sources)
+
+
+def is_allowed_span(start: int, end: int,
+                    excluded: tuple[list[tuple[int, int]], ...]) -> bool:
+    """Interval anti-join against excluded sources (annotations.py:180-190)."""
+    for intervals in excluded:
+        lo, hi = _binary_search(start, end, intervals)
+        for s2, e2 in intervals[lo:hi]:
+            if start < e2 and end > s2:
+                return False
+    return True
 
 
 def _binary_search(start: int, end: int,

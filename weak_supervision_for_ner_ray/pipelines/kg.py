@@ -61,8 +61,9 @@ def detector_mentions(turns_ds, source: str):
 
             def run(gen, src, exc=()):
                 layers.clear_source(src)
+                excluded = layers.intervals(exc)
                 for s, e, lab in gen(doc, layers):
-                    layers.add(s, e, lab, src, to_exclude=exc)
+                    layers.add(s, e, lab, src, excluded=excluded)
 
             run(det.date_detector, "date_detector")
             run(det.time_detector, "time_detector")
@@ -353,9 +354,8 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
         return v_span, v_s, v_o
 
     params_path = os.path.join(workdir, "labelmodel.npz")
-    if os.path.exists(params_path):
-        params = lm.LabelModelParams.load(params_path)
-    else:
+    params = lm.LabelModelParams.load(params_path, n_iter)
+    if params is None:
         params = lm.LabelModelParams.init()
         for _ in range(n_iter):
             params_ref = ray.put(params)
@@ -384,7 +384,7 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
                 for row in b.to_pylist():
                     total.merge_row(row)
             params = lm.m_step(total)
-        params.save(params_path)
+        params.save(params_path, n_iter)
 
     params_ref = ray.put(params)
 

@@ -789,16 +789,13 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.7, shingle=3):
 
     1. candidate (a, b) pairs from MinHash/LSH (materialised once — they
        feed both sides of every pair);
-    2. ONE shuffle co-locates each document's RAW text with the pair
-       rows referencing it (union + coarse ``groupby(hash(doc_id))`` —
-       text bytes are ~8× smaller than int64 shingle lists, and no
-       distinct-ids aggregate / repartition / hash-join operators are
-       needed: those three barriers dominated wall time at 256 pairs);
-    3. the attach kernel shingles ONLY the docs that pair rows in its
-       group reference, vectorised per coarse group;
-    4. a second coarse ``groupby(hash(a, b))`` lands both sides of a
-       pair together, where one lexsort-unique kernel computes every
-       Jaccard.
+    2. the :func:`_pair_gather` co-locates each document's RAW text with
+       the pair sides referencing it (text bytes are ~8× smaller than
+       int64 shingle lists, and no distinct-ids aggregate / repartition
+       / hash-join operators are needed: those three barriers dominated
+       wall time at 256 pairs), shingles ONLY the docs some pair side in
+       the coarse group references, and lands both sides of a pair
+       together, where one lexsort-unique kernel computes every Jaccard.
 
     The driver never sees a document text or a candidate id."""
     cands = minhash_candidates(sf_dir, shingle=shingle).materialize()
@@ -808,81 +805,20 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.7, shingle=3):
             "jaccard_micro": pa.array([], pa.int64())}))
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     mh = MinHasher(shingle=shingle)
-
     n_groups = max(64, 4 * _join_partitions())
 
-    def doc_rows(t: pa.Table) -> pa.Table:
-        ids_np = np.asarray(t.column("doc_id").to_pylist(), np.int64)
-        return pa.table({
-            "gk": pa.array(_coarse_key(ids_np, n_groups), pa.int64()),
-            "doc_id": pa.array(ids_np, pa.int64()),
-            "a": pa.array(np.full(len(ids_np), -1, np.int64), pa.int64()),
-            "b": pa.array(np.full(len(ids_np), -1, np.int64), pa.int64()),
-            "text": pc.cast(t.column("text"), pa.string()),
-        })
-
-    def pair_rows(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("a").to_pylist(), np.int64)
-        b = np.asarray(t.column("b").to_pylist(), np.int64)
-        vid = np.concatenate([a, b])
-        return pa.table({
-            "gk": pa.array(_coarse_key(vid, n_groups), pa.int64()),
-            "doc_id": pa.array(vid, pa.int64()),
-            "a": pa.array(np.concatenate([a, a]), pa.int64()),
-            "b": pa.array(np.concatenate([b, b]), pa.int64()),
-            "text": pa.nulls(2 * len(a), pa.string()),
-        })
-
-    tagged = docs.map_batches(doc_rows, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .union(cands.map_batches(pair_rows, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-
-    # COARSE hash groups (one Python call per group, not per doc/pair):
-    # attach shingles only the docs referenced by pair rows in its group
-    # and copies each shingle set onto the pair rows via a vectorised
-    # lookup; jaccard counts |A∪B| with one lexsort-unique over the
-    # flattened (pair, shingle) rows.
-    def attach(g: pa.Table) -> pa.Table:
-        empty = pa.table({"pk": pa.array([], pa.int64()),
-                          "a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "sh": pa.array([], pa.list_(pa.int64()))})
-        a = g.column("a").to_numpy(zero_copy_only=False)
-        is_doc = a < 0
-        if is_doc.all() or not is_doc.any():
-            return empty
-        sel = pa.array(is_doc)
-        docs_ = g.filter(sel)
-        pr = g.filter(pc.invert(sel))
-        doc_ids = docs_.column("doc_id").to_numpy(zero_copy_only=False)
-        pvid = pr.column("doc_id").to_numpy(zero_copy_only=False)
-        need = np.isin(doc_ids, np.unique(pvid))
-        if not need.any():
-            return empty
-        texts = docs_.filter(pa.array(need)).column("text").to_pylist()
-        nid = doc_ids[need]
+    def shingle_sets(t: pa.Table) -> pa.Array:
         sh_lists = [np.unique(mh.shingles(x)).astype(np.int64)
-                    for x in texts]
+                    for x in t.column("text").to_pylist()]
         offs = np.concatenate(
             [[0], np.cumsum([len(x) for x in sh_lists])]).astype(np.int32)
         vals = (np.concatenate(sh_lists) if sh_lists
                 else np.empty(0, np.int64))
-        sh_arr = pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
-                                          pa.array(vals, pa.int64()))
-        order = np.argsort(nid)
-        idx = order[np.searchsorted(nid[order], pvid)]
-        pa_ = pr.column("a").to_numpy(zero_copy_only=False)
-        pb_ = pr.column("b").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            pk = _coarse_key(pa_ * np.int64(3) + pb_, n_groups)
-        return pa.table({
-            "pk": pa.array(pk, pa.int64()),
-            "a": pa.array(pa_, pa.int64()),
-            "b": pa.array(pb_, pa.int64()),
-            "sh": sh_arr.take(pa.array(idx, pa.int64())),
-        })
+        return pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
+                                        pa.array(vals, pa.int64()))
 
+    # jaccard counts |A∪B| with one lexsort-unique over the flattened
+    # (pair, shingle) rows of its coarse group
     def jaccard(g: pa.Table) -> pa.Table:
         empty = pa.table({"a": pa.array([], pa.int64()),
                           "b": pa.array([], pa.int64()),
@@ -891,7 +827,7 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.7, shingle=3):
             return empty
         a = g.column("a").to_numpy(zero_copy_only=False)
         b = g.column("b").to_numpy(zero_copy_only=False)
-        sh = g.column("sh").combine_chunks()
+        sh = g.column("payload").combine_chunks()
         offs = sh.offsets.to_numpy(zero_copy_only=False)
         sizes = np.diff(offs)
         # slice the child values from the FIRST offset: a sliced/taken
@@ -925,10 +861,9 @@ def ngram_jaccard_verify(sf_dir: str, threshold: float = 0.7, shingle=3):
             "jaccard_micro": pa.array(jac, pa.int64()),
         })
 
-    return (tagged.groupby("gk").map_groups(attach,
-                                            batch_format="pyarrow")
-            .groupby("pk").map_groups(jaccard, batch_format="pyarrow")
-            .sort(["a", "b"]))
+    doc_schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+    return _pair_gather((docs, doc_schema), "doc_id", cands, n_groups,
+                        shingle_sets, jaccard).sort(["a", "b"])
 
 
 class SimHashStage:
@@ -1024,6 +959,129 @@ def _coalesce_schema_less(ds, n_parts: int | None = None):
     (vocabulary / summary rows), so the extra exchange is noise next to
     the groupby that produced them."""
     return ds.repartition(n_parts or _join_partitions(), shuffle=True)
+
+
+_COARSE_MULT = np.uint64(0x9E3779B97F4A7C15).astype(np.int64)  # fib hash
+
+
+def _coarse_key(x: np.ndarray, n_groups: int) -> np.ndarray:
+    """Deterministic coarse hash-partition key for int64 ids (wrapping
+    int64 multiply is C semantics — stable across workers)."""
+    with np.errstate(over="ignore"):
+        h = x.astype(np.int64) * _COARSE_MULT
+    return np.abs(h >> np.int64(17)) % np.int64(n_groups)
+
+
+def _cogroup(left, right, key: str, n_groups: int, kernel):
+    """Co-group two datasets over coarse hash groups of the int64 ``key``
+    column — the one exchange behind the catalogue's anti/semi-joins,
+    keyed joins and pair gathers.  Ray Data has no anti-join, and chained
+    ``Dataset.join`` aggregator pools deadlock when they pipeline
+    together (round-4 finding), so both sides meet in ONE
+    ``groupby(_coarse_key(key, n_groups))``: ``n_groups`` bounded groups,
+    never one group per key, so a hot key cannot make an unbounded group
+    and Python runs once per group.
+
+    ``left`` and ``right`` are ``(dataset, schema)`` pairs.  Each side's
+    blocks are cast to its schema, null-padded to the union of both (a
+    column both sides name must have one type) and tagged with its side;
+    ``kernel(left_rows, right_rows)`` gets each group's rows of each side
+    as Arrow tables in that side's own schema — the other side's padding
+    never reaches it, so no int column degrades to float — and returns
+    the group's output batch (Arrow, pandas or a numpy dict).  A side
+    may be empty; a group holds at least one row of either side.
+
+    Schema-less empty blocks bypass the side maps and would enter the
+    union untagged: apply :func:`_coalesce_schema_less` to a grouped
+    upstream that can emit them."""
+    (lds, lschema), (rds, rschema) = left, right
+    union = pa.unify_schemas([lschema, rschema])
+
+    def tagged(schema: pa.Schema, side: int):
+        def f(t: pa.Table) -> pa.Table:
+            t = t.select(schema.names).cast(schema)
+            n = t.num_rows
+            keys = t.column(key).to_numpy(zero_copy_only=False)
+            return pa.table(
+                [t.column(c.name) if c.name in schema.names
+                 else pa.nulls(n, c.type) for c in union]
+                + [pa.array(np.full(n, side, np.int8)),
+                   pa.array(_coarse_key(keys, n_groups), pa.int64())],
+                names=union.names + ["_side", "_gk"])
+        return f
+
+    def group(g: pa.Table):
+        is_left = pc.equal(g.column("_side"), 0)
+        return kernel(g.filter(is_left).select(lschema.names),
+                      g.filter(pc.invert(is_left)).select(rschema.names))
+
+    return (lds.map_batches(tagged(lschema, 0), batch_format="pyarrow",
+                            zero_copy_batch=True)
+            .union(rds.map_batches(tagged(rschema, 1),
+                                   batch_format="pyarrow",
+                                   zero_copy_batch=True))
+            .groupby("_gk").map_groups(group, batch_format="pyarrow"))
+
+
+def _match_filter(key: str, anti: bool):
+    """:func:`_cogroup` kernel of the semi-join (``anti=False``: the left
+    rows whose ``key`` the right side holds) and the anti-join (those it
+    lacks) — one vectorised ``is_in`` per group."""
+    def kernel(left: pa.Table, right: pa.Table) -> pa.Table:
+        hit = pc.is_in(left.column(key),
+                       value_set=right.column(key).combine_chunks())
+        return left.filter(pc.invert(hit) if anti else hit)
+    return kernel
+
+
+def _pair_gather(items, key: str, pairs, n_groups: int, load, kernel):
+    """Both sides' payloads of every candidate ``(a, b)`` pair in one
+    group, over two coarse exchanges and no hash-join operator:
+
+    1. the :func:`_cogroup` of ``items`` — a ``(dataset, schema)`` pair
+       holding the int64 ``key`` and the payload's source columns — with
+       the pair sides ``(key, a, b)`` (each pair twice, once per id)
+       attaches ``load(item_rows)``, an Arrow array with one payload per
+       row computed only for the items some pair side in the group
+       references, to every pair side;
+    2. a ``groupby(hash(a, b))`` lands both sides of a pair together, and
+       ``kernel`` gets rows ``(a, b, is_b, payload)``, ``is_b`` true on
+       the ``b`` id's row.
+
+    Item payloads move once for the corpus plus once per pair side."""
+    def sides(t: pa.Table) -> pa.Table:
+        a = t.column("a").to_numpy(zero_copy_only=False)
+        b = t.column("b").to_numpy(zero_copy_only=False)
+        return pa.table({key: np.concatenate([a, b]),
+                         "a": np.concatenate([a, a]),
+                         "b": np.concatenate([b, b])})
+
+    def attach(it: pa.Table, sd: pa.Table) -> pa.Table:
+        if it.num_rows == 0 or sd.num_rows == 0:
+            it, sd = it.slice(0, 0), sd.slice(0, 0)
+        vid = sd.column(key).combine_chunks()
+        it = it.filter(pc.is_in(it.column(key), value_set=pc.unique(vid)))
+        idx = pc.index_in(vid, value_set=it.column(key).combine_chunks())
+        a = sd.column("a").to_numpy(zero_copy_only=False)
+        b = sd.column("b").to_numpy(zero_copy_only=False)
+        with np.errstate(over="ignore"):
+            pk = _coarse_key(a * np.int64(3) + b, n_groups)
+        return pa.table({
+            "pk": pa.array(pk, pa.int64()),
+            "a": pa.array(a, pa.int64()),
+            "b": pa.array(b, pa.int64()),
+            "is_b": pa.array(vid.to_numpy(zero_copy_only=False) == b),
+            "payload": load(it).take(idx),
+        })
+
+    side_schema = pa.schema([(key, pa.int64()), ("a", pa.int64()),
+                             ("b", pa.int64())])
+    return (_cogroup(items,
+                     (pairs.map_batches(sides, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                      side_schema),
+                     key, n_groups, attach)
+            .groupby("pk").map_groups(kernel, batch_format="pyarrow"))
 
 
 def _smallest_by_stats(sf_dir: str, n: int) -> pa.Table | None:
@@ -1720,49 +1778,35 @@ def knn_graph(sf_dir: str, k: int = 5, max_rows: int = 2_000_000):
 
 class LSHTableStage:
     """``n_tables`` independent random-hyperplane LSH codes per vector —
-    the bucketing stage of the embedding-dedup scale path.  Stateful: the
-    (dim, n_tables·n_planes) plane matrix is drawn once per actor from a
-    fixed seed, so every worker buckets identically.
-
-    ``include_payload=False`` emits (table_id, bucket, vec_id) only —
-    the ids-only shuffle used by the candidates-then-verify strategy;
-    ``True`` replicates the vector into every bucket row (×n_tables
-    exchange amplification, but within-bucket exact compute needs no
-    second pass)."""
+    the bucketing stage of the embedding-dedup scale path, emitting
+    (table_id, bucket, vec_id) rows only: no vector payload rides the
+    ×n_tables bucket exchange.  Stateful: the (dim, n_tables·n_planes)
+    plane matrix is drawn once per actor from a fixed seed, so every
+    worker buckets identically."""
 
     def __init__(self, dim: int, n_planes: int = 4, n_tables: int = 32,
-                 seed: int = 41, include_payload: bool = True):
+                 seed: int = 41):
         rng = np.random.default_rng(seed)
         self.W = rng.standard_normal((dim, n_tables * n_planes))
         self.n_planes = n_planes
         self.n_tables = n_tables
-        self.include_payload = include_payload
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        X32 = _embedding_matrix(batch["embedding"], np.float32)
-        X = X32.astype(np.float64)
-        dim = X32.shape[1]
+        X = _embedding_matrix(batch["embedding"], np.float32) \
+            .astype(np.float64)
         bits = (X @ self.W) > 0
         codes = bits.reshape(n, self.n_tables, self.n_planes) \
             @ (1 << np.arange(self.n_planes))
         rep = np.repeat(np.arange(n), self.n_tables)
-        cols = {
+        return pa.table({
             "table_id": pa.array(
                 np.tile(np.arange(self.n_tables, dtype=np.int32), n),
                 pa.int32()),
             "bucket": pa.array(codes.reshape(-1).astype(np.int64),
                                pa.int64()),
             "vec_id": batch.column("vec_id").take(pa.array(rep)),
-        }
-        if self.include_payload:
-            # replicate the embedding payload in numpy (one C memcpy per
-            # row) instead of Arrow take() on the list column
-            cols["embedding"] = pa.ListArray.from_arrays(
-                pa.array(np.arange(n * self.n_tables + 1, dtype=np.int64)
-                         * dim, pa.int32()),
-                pa.array(X32[rep].ravel(), pa.float32()))
-        return pa.table(cols)
+        })
 
 
 def _segment_pairs(vals: np.ndarray, seg: np.ndarray
@@ -1788,15 +1832,14 @@ def _segment_pairs(vals: np.ndarray, seg: np.ndarray
     return vals[a_idx], vals[a_idx + off]
 
 
-def _lsh_candidate_pairs(coded_ids, n_groups: int | None = None):
+def _lsh_candidate_pairs(coded_ids):
     """Distinct (a, b) id pairs sharing ≥1 (table, bucket) — ids only,
     no vector payload crosses either exchange.  Buckets are grouped
     under a COARSE hash key (deep codes mean n_tables·2^b tiny buckets;
     one Python map_groups call per bucket was the dominant cost), and a
     vectorised segment-triu kernel expands every bucket in the group at
     once."""
-    if n_groups is None:
-        n_groups = max(64, 4 * _join_partitions())
+    n_groups = max(64, 4 * _join_partitions())
 
     def tag(t: pa.Table) -> pa.Table:
         tb = t.column("table_id").to_numpy(zero_copy_only=False) \
@@ -1833,17 +1876,6 @@ def _lsh_candidate_pairs(coded_ids, n_groups: int | None = None):
         .select_columns(["a", "b"]))
 
 
-_COARSE_MULT = np.uint64(0x9E3779B97F4A7C15).astype(np.int64)  # fib hash
-
-
-def _coarse_key(x: np.ndarray, n_groups: int) -> np.ndarray:
-    """Deterministic coarse hash-partition key for int64 ids (wrapping
-    int64 multiply is C semantics — stable across workers)."""
-    with np.errstate(over="ignore"):
-        h = x.astype(np.int64) * _COARSE_MULT
-    return np.abs(h >> np.int64(17)) % np.int64(n_groups)
-
-
 def _binary_rows_to_f32(arr: pa.Array, n: int) -> np.ndarray:
     """(n, dim) float32 matrix from a fixed-width binary column — one
     vectorised gather over the values buffer, no per-row Python."""
@@ -1856,26 +1888,17 @@ def _binary_rows_to_f32(arr: pa.Array, n: int) -> np.ndarray:
     return vals[idx].view(np.float32)
 
 
-def _verify_cosine_pairs(sf_dir: str, pairs, threshold_micro: int,
-                         n_groups: int | None = None):
-    """Exact-cosine verification of candidate id pairs, fully
-    distributed with NO hash-join operators (chained ``Dataset.join``
-    aggregator pools each demand ``num_partitions`` concurrent actors
-    and deadlock when several joins pipeline together): the
-    ngram_jaccard union+groupby attach pattern, but over COARSE hash
-    groups so Python runs O(n_groups) times, never once per pair.
-
-    Exchange 1 groups by ``hash(vec_id)`` and attaches each pair side's
-    vector bytes via a vectorised ``index_in`` + ``take``; exchange 2
-    groups by ``hash(a, b)`` so both sides of a pair land in one group,
-    where a single float64 kernel computes every cosine.  Vector bytes
-    move once for the corpus plus once per pair side — never ×n_tables."""
-    if n_groups is None:
-        n_groups = max(64, 4 * _join_partitions())
+def _verify_cosine_pairs(sf_dir: str, pairs, threshold_micro: int):
+    """Exact-cosine verification of candidate id pairs: the
+    :func:`_pair_gather` with each vector's raw float32 bytes as the
+    payload (fixed-width binary survives exchanges that reject
+    list<float> payloads, and reassembles with one gather), then one
+    float64 kernel per coarse ``hash(a, b)`` group computes every
+    cosine.  Vector bytes move once for the corpus plus once per pair
+    side — never ×n_tables."""
+    n_groups = max(64, 4 * _join_partitions())
 
     def emb_rows(t: pa.Table) -> pa.Table:
-        # raw float32 bytes: fixed-width binary survives exchanges that
-        # reject list<float> payloads, and reassembles with one gather
         X = _embedding_matrix(t["embedding"], np.float32)
         step = (X.shape[1] if X.size else 0) * 4
         vbin = pa.Array.from_buffers(
@@ -1883,82 +1906,21 @@ def _verify_cosine_pairs(sf_dir: str, pairs, threshold_micro: int,
             [None, pa.py_buffer(np.arange(t.num_rows + 1,
                                           dtype=np.int32) * step),
              pa.py_buffer(np.ascontiguousarray(X).tobytes())])
-        vid = pc.cast(t.column("vec_id"), pa.int64())
-        n = t.num_rows
-        return pa.table({
-            "gk": pa.array(_coarse_key(vid.to_numpy(), n_groups),
-                           pa.int64()),
-            "vec_id": vid,
-            "a": pa.array(np.full(n, -1, np.int64), pa.int64()),
-            "b": pa.array(np.full(n, -1, np.int64), pa.int64()),
-            "vbin": vbin,
-        })
-
-    def pair_rows(t: pa.Table) -> pa.Table:
-        a = pc.cast(t.column("a"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        b = pc.cast(t.column("b"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        vid = np.concatenate([a, b])
-        return pa.table({
-            "gk": pa.array(_coarse_key(vid, n_groups), pa.int64()),
-            "vec_id": pa.array(vid, pa.int64()),
-            "a": pa.array(np.concatenate([a, a]), pa.int64()),
-            "b": pa.array(np.concatenate([b, b]), pa.int64()),
-            "vbin": pa.nulls(2 * len(a), pa.binary()),
-        })
-
-    tagged = read_table(sf_dir, "embeddings",
-                        columns=["vec_id", "embedding"]) \
-        .map_batches(emb_rows, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .union(pairs.map_batches(pair_rows, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-
-    def attach(g: pa.Table) -> pa.Table:
-        empty = pa.table({"pk": pa.array([], pa.int64()),
-                          "a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64()),
-                          "side": pa.array([], pa.int8()),
-                          "vbin": pa.array([], pa.binary())})
-        a = g.column("a").to_numpy(zero_copy_only=False)
-        is_emb = a < 0
-        n_pair = int((~is_emb).sum())
-        if n_pair == 0 or is_emb.sum() == 0:
-            return empty
-        sel = pa.array(is_emb)
-        emb = g.filter(sel)
-        pr = g.filter(pc.invert(sel))
-        idx = pc.index_in(pr.column("vec_id").combine_chunks(),
-                          emb.column("vec_id").combine_chunks())
-        pa_ = pr.column("a").to_numpy(zero_copy_only=False)
-        pb_ = pr.column("b").to_numpy(zero_copy_only=False)
-        pv = pr.column("vec_id").to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            pk = _coarse_key(pa_ * np.int64(3) + pb_, n_groups)
-        return pa.table({
-            "pk": pa.array(pk, pa.int64()),
-            "a": pa.array(pa_, pa.int64()),
-            "b": pa.array(pb_, pa.int64()),
-            "side": pa.array((pv == pb_).astype(np.int8), pa.int8()),
-            "vbin": emb.column("vbin").combine_chunks().take(idx),
-        })
+        return pa.table({"vec_id": t.column("vec_id"), "vbin": vbin})
 
     def verify(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _empty_pairs()
-        side = g.column("side").to_numpy(zero_copy_only=False)
+        is_b = g.column("is_b").to_numpy(zero_copy_only=False)
         a = g.column("a").to_numpy(zero_copy_only=False)
         b = g.column("b").to_numpy(zero_copy_only=False)
-        V = _binary_rows_to_f32(g.column("vbin"), g.num_rows) \
+        V = _binary_rows_to_f32(g.column("payload"), g.num_rows) \
             .astype(np.float64)       # float64 BEFORE normalising —
         # matches the all-pairs kernel bit-for-bit
-        o0 = np.lexsort((b[side == 0], a[side == 0]))
-        o1 = np.lexsort((b[side == 1], a[side == 1]))
-        pa_ = a[side == 0][o0]
-        pb_ = b[side == 0][o0]
-        micros = _cos_micros(_cos_normalize(V[side == 0][o0]),
-                             _cos_normalize(V[side == 1][o1]), rowwise=True)
+        o0 = np.lexsort((b[~is_b], a[~is_b]))
+        o1 = np.lexsort((b[is_b], a[is_b]))
+        pa_ = a[~is_b][o0]
+        pb_ = b[~is_b][o0]
+        micros = _cos_micros(_cos_normalize(V[~is_b][o0]),
+                             _cos_normalize(V[is_b][o1]), rowwise=True)
         keep = micros >= threshold_micro
         return pa.table({
             "a": pa.array(pa_[keep], pa.int64()),
@@ -1966,106 +1928,51 @@ def _verify_cosine_pairs(sf_dir: str, pairs, threshold_micro: int,
             "sim_micro": pa.array(micros[keep], pa.int64()),
         })
 
-    return (tagged.groupby("gk")
-            .map_groups(attach, batch_format="pyarrow")
-            .groupby("pk")
-            .map_groups(verify, batch_format="pyarrow"))
+    embs = read_table(sf_dir, "embeddings",
+                      columns=["vec_id", "embedding"]) \
+        .map_batches(emb_rows, batch_format="pyarrow", zero_copy_batch=True)
+    emb_schema = pa.schema([("vec_id", pa.int64()), ("vbin", pa.binary())])
+    return _pair_gather((embs, emb_schema), "vec_id", pairs, n_groups,
+                        lambda t: t.column("vbin").combine_chunks(), verify)
 
 
 def dedup_embedding_lsh(sf_dir: str, threshold_micro: int = 400_000,
                         n_planes: int = 4, n_tables: int = 32,
-                        seed: int = 41, strategy: str = "auto"):
+                        seed: int = 41):
     """Embedding-cosine near-duplicate pairs via LSH bucketing — the
     100 TB scale path for :func:`dedup_embedding_cosine` (same output,
     same exact integer-micros threshold, no all-pairs matmul and no
     broadcast of the full matrix):
 
     1. each vector is coded into ``n_tables`` independent ``n_planes``-bit
-       hyperplane buckets (actor-pool ``map_batches``, ~n_tables× row
-       replication — the classic LSH space-for-recall trade);
-    2. ``groupby(table_id, bucket)`` co-locates candidates — the only
-       shuffle, moving (code, id, vector) rows;
-    3. the exact cosine kernel runs WITHIN each bucket (numpy matmul over
-       |bucket| rows), so false bucket collisions cost compute, never
-       correctness — only a pair landing in no shared bucket can be lost;
-    4. ``groupby(a, b)`` dedups pairs found by several tables.
+       hyperplane buckets (actor-pool ``map_batches``);
+    2. the bucket exchange moves (table_id, bucket, vec_id) rows ONLY
+       (≈20 bytes ×L per vector, never the vector payload ×L) and emits
+       the distinct candidate pairs sharing ≥1 bucket
+       (:func:`_lsh_candidate_pairs`);
+    3. every candidate is verified with the exact float64 cosine
+       (:func:`_verify_cosine_pairs`), so false bucket collisions cost
+       compute, never correctness — only a pair landing in no shared
+       bucket can be lost.
 
     Recall is 1 - (1 - p^b)^L with p = 1 - angle/π.  The defaults
     (b=4, L=32, seed 41) give measured recall 1.0 at threshold 0.4 on the
     test corpora (verified pair-exact vs the all-pairs SQL oracle —
     tests/test_ops.py); production near-dup thresholds (sim ≥ 0.85) want
     deeper codes (b 12-16, L 8-16) so buckets shrink to ~N/2^b and the
-    within-bucket kernel stays linear-ish.
-
-    ``strategy`` picks how vectors reach their buckets:
-
-    * ``"ids"`` — the 100 TB path: shuffle (table_id, bucket, vec_id)
-      ONLY (≈20 bytes ×L per vector instead of the payload ×L), emit
-      distinct candidate pairs per bucket, then verify each pair with
-      the exact float64 cosine via a distributed semi-join gather
-      (vector bytes move once per pair side).  Identical output to
-      "replicate" by construction — candidates are the same
-      shared-bucket pairs, and verification is exact.
-    * ``"replicate"`` — the original design: the payload rides the
-      bucket shuffle (×L amplification) and the exact kernel runs
-      within each bucket, emitting only survivors.  Wins when buckets
-      are few and LARGE (shallow codes), where ids-mode candidate
-      pairs would grow quadratically in bucket size.
-    * ``"auto"`` — "ids" when the expected bucket size N/2^b ≤ 8
-      (deep codes / the production regime: candidate volume per vector
-      ≈ L·bucket stays O(L)), else "replicate" (shallow codes: huge
-      buckets make candidate pairs quadratic, while the within-bucket
-      matmul only emits survivors).
-    """
+    candidate volume per vector stays ≈ L·bucket."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    n_rows = ds.count()                    # parquet metadata, no scan
-    if n_rows == 0:
+    if ds.count() == 0:                   # parquet metadata, no scan
         return rd.from_arrow(_empty_pairs())
-    dim = _embedding_dim(sf_dir, ds)
-    if strategy == "auto":
-        strategy = "ids" if n_rows / (1 << n_planes) <= 8 \
-            else "replicate"
-    if strategy == "ids":
-        coded_ids = ds.map_batches(
-            LSHTableStage,
-            fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes,
-                                       n_tables=n_tables, seed=seed,
-                                       include_payload=False),
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=_concurrency())
-        cands = _lsh_candidate_pairs(coded_ids)
-        return _verify_cosine_pairs(sf_dir, cands,
-                                    threshold_micro).sort(["a", "b"])
-    coded = ds.map_batches(
+    coded_ids = ds.map_batches(
         LSHTableStage,
-        fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes,
-                                   n_tables=n_tables, seed=seed),
+        fn_constructor_kwargs=dict(dim=_embedding_dim(sf_dir, ds),
+                                   n_planes=n_planes, n_tables=n_tables,
+                                   seed=seed),
         batch_format="pyarrow", zero_copy_batch=True,
         concurrency=_concurrency())
-
-    def bucket_pairs(group: dict) -> dict:
-        # numpy batch format: ~10× less per-group overhead than pandas
-        # across the n_tables·2^n_planes small groups
-        ids = np.asarray(group["vec_id"], np.int64)
-        if len(ids) < 2:
-            return {c: np.empty(0, np.int64) for c in ("a", "b", "sim_micro")}
-        # float64 BEFORE normalising: parquet stores float32 and the
-        # micro-rounding must match the float64 all-pairs kernel exactly
-        unit = _cos_normalize(np.stack(group["embedding"]).astype(np.float64))
-        micros = _cos_micros(unit, unit)
-        ai, bi = np.triu_indices(len(ids), k=1)
-        keep = micros[ai, bi] >= threshold_micro
-        ai, bi = ai[keep], bi[keep]
-        a_ids, b_ids = ids[ai], ids[bi]
-        swap = a_ids > b_ids
-        a_ids[swap], b_ids[swap] = b_ids[swap], a_ids[swap]
-        return {"a": a_ids, "b": b_ids, "sim_micro": micros[ai, bi]}
-
-    pairs = coded.groupby(["table_id", "bucket"]).map_groups(
-        bucket_pairs, batch_format="numpy")
-    return (pairs.groupby(["a", "b"])
-            .aggregate(Max("sim_micro", alias_name="sim_micro"))
-            .sort(["a", "b"]))
+    return _verify_cosine_pairs(sf_dir, _lsh_candidate_pairs(coded_ids),
+                                threshold_micro).sort(["a", "b"])
 
 
 def semantic_dedup(sf_dir: str, k: int = 8, iters: int = 3,
@@ -2433,9 +2340,9 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
        latest right event from any strictly-earlier bucket (a sorted
        forward-fill; the nearest earlier right-containing bucket's last
        right IS the global latest, because buckets partition time).
-    3. the carry rows, re-keyed to their left bucket's coarse group, are
-       unioned with the tagged events; one more grouped pass matches each
-       left row against in-bucket rights ∪ its carry via a per-group
+    3. the carry rows, keyed by their left bucket, are co-grouped
+       (:func:`_cogroup`) with the tagged events; the match kernel pairs
+       each left row with in-bucket rights ∪ its carry via a per-group
        forward-fill — within-group work is a sort + two ffills, no
        Python row loop.
 
@@ -2465,15 +2372,15 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
             ts_np = ts_us.to_numpy(zero_copy_only=False)
             bucket = ts_np // bucket_us
             with np.errstate(over="ignore"):
-                gk = _coarse_key(u_np * np.int64(1_000_003) + bucket,
-                                 n_groups)
+                ub = u_np * np.int64(1_000_003) + bucket
             return pa.table({
                 "u": u,
                 "ts_us": pa.array(ts_np, pa.int64()),
                 "eid": pc.cast(t.column("event_id"), pa.int64()),
                 "il": il,
                 "bucket": pa.array(bucket, pa.int64()),
-                "gk": pa.array(gk, pa.int64()),
+                "ub": pa.array(ub, pa.int64()),
+                "gk": pa.array(_coarse_key(ub, n_groups), pa.int64()),
             })
 
         return ds.map_batches(tag, batch_format="pyarrow",
@@ -2521,19 +2428,19 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
         u = g.loc[m, "u"].to_numpy(np.int64)
         bucket = g.loc[m, "bucket"].to_numpy(np.int64)
         with np.errstate(over="ignore"):
-            gk = _coarse_key(u * np.int64(1_000_003) + bucket, n_groups)
+            ub = u * np.int64(1_000_003) + bucket
         return pd.DataFrame({
             "u": u,
             "ts_us": c_ts[m].to_numpy(np.int64),
             "eid": c_id[m].to_numpy(np.int64),
             "il": np.zeros(len(u), np.int8),   # a carry acts as a right
-            "bucket": bucket,
-            "gk": gk})
+            "ub": ub})
 
-    def match(g: pd.DataFrame) -> pd.DataFrame:
+    def match(events: pa.Table, carries: pa.Table) -> pd.DataFrame:
         # rights (il=0, incl. carries) before lefts at equal ts = "<="
         # semantics; max event_id wins a right-side tie via the ffill.
-        g = g.sort_values(["u", "ts_us", "il", "eid"])
+        g = pa.concat_tables([events, carries]).to_pandas() \
+            .sort_values(["u", "ts_us", "il", "eid"])
         rid = g["eid"].where(g["il"] == 0)
         rts = g["ts_us"].where(g["il"] == 0)
         c_id = rid.groupby(g["u"], sort=False).ffill()
@@ -2546,17 +2453,13 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
             "right_id": c_id[m].to_numpy(np.int64),
             "right_ts_us": c_ts[m].to_numpy(np.int64)})
 
-    # consolidate schema-less empties before the union
-    # (_coalesce_schema_less), then normalise to Arrow blocks so the
-    # union sides share one block type
-    carries = (_coalesce_schema_less(
-                   tagged()
-                   .groupby("gk").map_groups(summarize,
-                                             batch_format="pandas")
-                   .groupby("sk").map_groups(stitch,
-                                             batch_format="pandas"),
-                   n_parts=8)
-               .map_batches(lambda t: t, batch_format="pyarrow"))
+    # consolidate schema-less empties before the co-group
+    # (_coalesce_schema_less)
+    carries = _coalesce_schema_less(
+        tagged()
+        .groupby("gk").map_groups(summarize, batch_format="pandas")
+        .groupby("sk").map_groups(stitch, batch_format="pandas"),
+        n_parts=8)
 
     def finish(t: pa.Table) -> pa.Table:
         lts = t.column("left_ts_us")
@@ -2570,8 +2473,11 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
             "lag_us": pc.subtract(lts, rts),
         })
 
-    return (tagged().union(carries)
-            .groupby("gk").map_groups(match, batch_format="pandas")
+    match_schema = pa.schema([("u", pa.int64()), ("ts_us", pa.int64()),
+                              ("eid", pa.int64()), ("il", pa.int8()),
+                              ("ub", pa.int64())])
+    return (_cogroup((tagged(), match_schema), (carries, match_schema),
+                     "ub", n_groups, match)
             .sort(["user_id", "left_id"])
             .map_batches(finish, batch_format="pyarrow",
                          zero_copy_batch=True))
@@ -3036,71 +2942,34 @@ def ngram_topk(sf_dir: str, n: int = 2, k: int = 50):
 def anti_join(sf_dir: str, priority: str = "1-URGENT",
               rows_per_group: int = 5000):
     """Distributed anti-join: customers with NO order of the given
-    priority.  Ray Data has no anti-join operator and chaining
-    ``Dataset.join`` pipelines deadlocks the aggregator pool (round-4
-    session-3 finding), so this uses the single-exchange tagged-union
-    shape: per-block DISTINCT right-side keys (a combiner — the exchange
-    carries keys once per block, not once per order row) union the tagged
-    left rows, ONE groupby on a coarsened key, and a vectorised
-    ``isin`` exclusion inside each group.  No driver materialisation, no
-    broadcast assumption on either side."""
+    priority, in ONE :func:`_cogroup` exchange: per-block DISTINCT
+    right-side keys (a combiner — the exchange carries keys once per
+    block, not once per order row) meet the customer rows in coarse
+    groups, where a vectorised ``is_in`` excludes them.  No driver
+    materialisation, no broadcast assumption on either side."""
     cust = read_table(sf_dir, "customer",
                       columns=["c_custkey", "c_name", "c_mktsegment",
                                "c_acctbal"])
     orders = read_table(sf_dir, "orders",
                         columns=["o_custkey", "o_orderpriority"])
     n_cust = cust.count()               # parquet metadata, no scan
-    n_groups = np.int64(max(32, n_cust // rows_per_group))
+    n_groups = max(32, n_cust // rows_per_group)
 
-    def left(t: pa.Table) -> pa.Table:
-        key = t.column("c_custkey")
-        return pa.table({
-            "c_custkey": key,
-            "c_name": t.column("c_name"),
-            "c_mktsegment": t.column("c_mktsegment"),
-            "c_acctbal": t.column("c_acctbal"),
-            "tag": pa.array(np.zeros(len(key), np.int8)),
-            "gk": pc.cast(_pmod(key, n_groups), pa.int32()),
-        })
+    def urgent_keys(t: pa.Table) -> pa.Table:
+        return pa.table({"c_custkey": pc.unique(t.filter(pc.equal(
+            t.column("o_orderpriority"), priority)).column("o_custkey"))})
 
-    def right(t: pa.Table) -> pa.Table:
-        keys = pc.unique(t.filter(pc.equal(
-            t.column("o_orderpriority"), priority)).column("o_custkey"))
-        n = len(keys)
-        return pa.table({
-            "c_custkey": keys,
-            "c_name": pa.nulls(n, pa.string()),
-            "c_mktsegment": pa.nulls(n, pa.string()),
-            "c_acctbal": pa.nulls(n, pa.float64()),
-            "tag": pa.array(np.ones(n, np.int8)),
-            "gk": pc.cast(_pmod(keys, n_groups), pa.int32()),
-        })
-
-    unioned = (cust.map_batches(left, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .union(orders.map_batches(right, batch_format="pyarrow",
-                                         zero_copy_batch=True)))
-
-    def exclude(g: pd.DataFrame) -> pd.DataFrame:
-        hit = g.loc[g["tag"] == 1, "c_custkey"]
-        keep = (g["tag"] == 0) & ~g["c_custkey"].isin(hit)
-        return g.loc[keep, ["c_custkey", "c_name", "c_mktsegment",
-                            "c_acctbal"]]
-
-    return (unioned.groupby("gk").map_groups(exclude,
-                                             batch_format="pandas")
-            .sort("c_custkey")
-            .select_columns(["c_custkey", "c_name", "c_mktsegment",
-                             "c_acctbal"]))
-
-
-def _pmod(col: pa.ChunkedArray | pa.Array, m: np.int64) -> pa.Array:
-    """Non-negative ``col % m`` as an Arrow array (keys here are
-    non-negative ints, so a plain modulo suffices — kept as a helper so
-    every grouped op derives its coarse key identically)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return pa.array(col.to_numpy(zero_copy_only=False) % m)
+    keys = orders.map_batches(urgent_keys, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    cust_schema = pa.schema([("c_custkey", pa.int64()),
+                             ("c_name", pa.string()),
+                             ("c_mktsegment", pa.string()),
+                             ("c_acctbal", pa.float64())])
+    return _cogroup((cust, cust_schema),
+                    (keys, pa.schema([("c_custkey", pa.int64())])),
+                    "c_custkey", n_groups,
+                    _match_filter("c_custkey", anti=True)) \
+        .sort("c_custkey")
 
 
 def rollup_lang_source(sf_dir: str):
@@ -4378,9 +4247,10 @@ def semi_join_bloom(sf_dir: str, priority: str = "1-URGENT",
     pattern: when the right-side key set is too large to broadcast raw,
     broadcast an m-bit Bloom filter instead and let every lineitem block
     drop the (vast) non-matching majority locally; only the bloom-passing
-    candidates enter the exact verification exchange, where right-side
-    DISTINCT keys (the anti_join combiner) remove the false positives —
-    so the output is EXACT (the bloom only sizes the shuffle).
+    candidates enter the exact verification :func:`_cogroup`, where
+    right-side DISTINCT keys (the anti_join combiner) remove the false
+    positives — so the output is EXACT (the bloom only sizes the
+    shuffle).
 
     Bloom build is a mergeable sketch: per-block partial bit arrays are
     emitted as sparse non-zero (word_idx, word) rows, OR-merged in one
@@ -4433,7 +4303,7 @@ def semi_join_bloom(sf_dir: str, priority: str = "1-URGENT",
     bloom_ref = ray.put(bloom)
 
     n_li = li.count()                       # parquet metadata, no scan
-    n_groups = np.int64(max(32, n_li // rows_per_group))
+    n_groups = max(32, n_li // rows_per_group)
 
     def prefilter(t: pa.Table) -> pa.Table:
         bl = ray.get(bloom_ref)
@@ -4443,48 +4313,27 @@ def semi_join_bloom(sf_dir: str, priority: str = "1-URGENT",
         hit = (bl[pos >> 6] >> (pos.astype(np.uint64) & np.uint64(63))
                & np.uint64(1)).astype(bool).all(axis=1)
         sel = t.filter(pa.array(hit))
-        key = sel.column("l_orderkey")
         return pa.table({
-            "k": key,
-            "ln": pc.cast(sel.column("l_linenumber"), pa.int64()),
+            "l_orderkey": sel.column("l_orderkey"),
+            "l_linenumber": sel.column("l_linenumber"),
             "price_cents": _cents(sel.column("l_extendedprice")),
-            "tag": pa.array(np.zeros(sel.num_rows, np.int8)),
-            "gk": pc.cast(_pmod(key, n_groups), pa.int32()),
         })
 
-    def right_keys(t: pa.Table) -> pa.Table:
-        keys = pc.unique(t.filter(pc.equal(
-            t.column("o_orderpriority"), priority)).column("o_orderkey"))
-        n = len(keys)
-        return pa.table({
-            "k": keys,
-            "ln": pa.nulls(n, pa.int64()),
-            "price_cents": pa.nulls(n, pa.int64()),
-            "tag": pa.array(np.ones(n, np.int8)),
-            "gk": pc.cast(_pmod(keys, n_groups), pa.int32()),
-        })
+    def urgent_keys(t: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": pc.unique(t.filter(pc.equal(
+            t.column("o_orderpriority"), priority)).column("o_orderkey"))})
 
-    unioned = (li.map_batches(prefilter, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .union(orders.map_batches(right_keys,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True)))
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        member = g.loc[g["tag"] == 1, "k"]
-        keep = (g["tag"] == 0) & g["k"].isin(member)
-        out = g.loc[keep, ["k", "ln", "price_cents"]]
-        # the right-side null rows degrade the int64 columns to float64
-        # in the pandas group frame — restore after they are filtered out
-        out = out.astype({"ln": "int64", "price_cents": "int64"})
-        return out.rename(columns={"k": "l_orderkey",
-                                   "ln": "l_linenumber"})
-
-    return (unioned.groupby("gk").map_groups(verify,
-                                             batch_format="pandas")
-            .sort(["l_orderkey", "l_linenumber"])
-            .select_columns(["l_orderkey", "l_linenumber",
-                             "price_cents"]))
+    li_schema = pa.schema([("l_orderkey", pa.int64()),
+                           ("l_linenumber", pa.int64()),
+                           ("price_cents", pa.int64())])
+    return _cogroup(
+        (li.map_batches(prefilter, batch_format="pyarrow",
+                        zero_copy_batch=True), li_schema),
+        (orders.map_batches(urgent_keys, batch_format="pyarrow",
+                            zero_copy_batch=True),
+         pa.schema([("l_orderkey", pa.int64())])),
+        "l_orderkey", n_groups, _match_filter("l_orderkey", anti=False)) \
+        .sort(["l_orderkey", "l_linenumber"])
 
 
 def butterfly_count(sf_dir: str, min_shared: int = 2,
@@ -4752,75 +4601,33 @@ def dedup_apply(sf_dir: str, rows_per_group: int = 5000):
     non-representative members of duplicate clusters.  This is the query
     a user actually runs to deduplicate a corpus end to end.
 
-    Scale shape: no broadcast assumption on either side — two coarse
-    tagged-union anti-joins (the :func:`anti_join` single-exchange
-    pattern; chained ``Dataset.join`` deadlocks the aggregator pool):
+    Scale shape: no broadcast assumption on either side — two
+    :func:`_cogroup` anti-joins (the :func:`anti_join` single-exchange
+    pattern):
 
-    1. union(cluster members tag 0, keepers tag 1), coarse
-       ``doc_id % n_groups`` groupby, emit members with no keeper mate
-       — the DROPPED id set, exchanged as bare int64 ids;
-    2. union(documents tag 0, dropped tag 1), same coarse groupby,
-       emit documents with no dropped mate.
+    1. cluster members against keepers: the members with no keeper mate
+       are the DROPPED id set, exchanged as bare int64 ids;
+    2. documents against the dropped ids: the documents with no dropped
+       mate survive.
 
     Both exchanges carry ids (plus ``n_chars`` for the corpus rows) and
     each group kernel is one vectorised ``isin`` — no per-key Python, no
     driver materialisation of the corpus."""
     members = _coalesce_schema_less(dedup_clusters(sf_dir))
-    keepers = _coalesce_schema_less(dedup_keep_best(sf_dir))
+    keepers = _coalesce_schema_less(dedup_keep_best(sf_dir)) \
+        .rename_columns({"keep_doc_id": "doc_id"})
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
     n_docs = docs.count()               # parquet metadata, no scan
-    n_groups = np.int64(max(32, n_docs // rows_per_group))
+    n_groups = max(32, n_docs // rows_per_group)
+    ids = pa.schema([("doc_id", pa.int64())])
+    drop = _match_filter("doc_id", anti=True)
 
-    def _tagged(key: pa.Array, tag: int, n_chars=None) -> pa.Table:
-        n = len(key)
-        return pa.table({
-            "doc_id": key,
-            "n_chars": (pa.nulls(n, pa.int64()) if n_chars is None
-                        else n_chars),
-            "tag": pa.array(np.full(n, tag, np.int8)),
-            "gk": pc.cast(_pmod(key, n_groups), pa.int32()),
-        })
-
-    def mem_rows(t: pa.Table) -> pa.Table:
-        return _tagged(pc.cast(t.column("doc_id"), pa.int64()), 0)
-
-    def keep_rows(t: pa.Table) -> pa.Table:
-        return _tagged(pc.cast(t.column("keep_doc_id"), pa.int64()), 1)
-
-    def survivors(g: pd.DataFrame) -> pd.DataFrame:
-        hit = g.loc[g["tag"] == 1, "doc_id"]
-        keep = (g["tag"] == 0) & ~g["doc_id"].isin(hit)
-        out = g.loc[keep, ["doc_id", "n_chars"]]
-        # the tag-1 rows carry NULL n_chars, which coerces the whole
-        # pandas column to float64 — surviving rows are all tag 0, so
-        # cast back to the parquet int64 (stage-1 all-null stays float;
-        # only doc_id is read from it)
-        if out["n_chars"].notna().all():        # vacuously true if empty
-            out = out.astype({"n_chars": "int64"})
-        return out
-
-    dropped = (members.map_batches(mem_rows, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-               .union(keepers.map_batches(keep_rows,
-                                          batch_format="pyarrow",
-                                          zero_copy_batch=True))
-               .groupby("gk").map_groups(survivors,
-                                         batch_format="pandas"))
-
-    def doc_rows(t: pa.Table) -> pa.Table:
-        return _tagged(pc.cast(t.column("doc_id"), pa.int64()), 0,
-                       n_chars=pc.cast(t.column("n_chars"), pa.int64()))
-
-    def drop_rows(t: pa.Table) -> pa.Table:
-        return _tagged(pc.cast(t.column("doc_id"), pa.int64()), 1)
-
-    return (docs.map_batches(doc_rows, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .union(_coalesce_schema_less(dropped)
-                   .map_batches(drop_rows, batch_format="pyarrow"))
-            .groupby("gk").map_groups(survivors, batch_format="pandas")
-            .sort("doc_id")
-            .select_columns(["doc_id", "n_chars"]))
+    dropped = _cogroup((members, ids), (keepers, ids), "doc_id", n_groups,
+                       drop)
+    return _cogroup((docs, pa.schema([("doc_id", pa.int64()),
+                                      ("n_chars", pa.int64())])),
+                    (_coalesce_schema_less(dropped), ids),
+                    "doc_id", n_groups, drop).sort("doc_id")
 
 
 _BM25_K1_PPM = np.int64(1_200_000)       # k1 = 1.2 on the ppm grid
@@ -6041,54 +5848,41 @@ def snapshot_diff(sf_dir: str):
     unchanged rows are silent).
 
     Scale shape: both snapshots come off ONE column-pruned read each,
-    tagged ``side`` 0/1, and the diff is a single coarse
-    ``hash(o_orderkey)`` groupby — the full-outer-join-by-pk compare
-    without a join operator: inside a group a ``lexsort`` pairs the at
-    most two rows per key, and vectorised masks classify them.  No
-    driver-side state; output is the (small) delta only."""
+    and the diff is a single :func:`_cogroup` on ``o_orderkey`` — the
+    full-outer-join-by-pk compare without a join operator: inside a
+    group the union of both key sets lines up each key's old and new
+    price, and vectorised masks classify them.  No driver-side state;
+    output is the (small) delta only."""
     orders = read_table(sf_dir, "orders",
                         columns=["o_orderkey", "o_totalprice"])
     n_rows = orders.count()
     n_groups = int(max(32, n_rows // 5000))
 
-    def snap(side: int):
+    def snap(newer: bool):
         def f(t: pa.Table) -> pa.Table:
             okey = t.column("o_orderkey").to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
             cents = _cents(t.column("o_totalprice")).to_numpy().copy()
-            if side == 0:
-                keep = okey % 11 != 0
-            else:
+            if newer:
                 keep = okey % 7 != 0
                 cents = np.where(okey % 5 == 0, cents + 100, cents)
-            okey, cents = okey[keep], cents[keep]
-            return pa.table({
-                "o_orderkey": pa.array(okey),
-                "cents": pa.array(cents),
-                "side": pa.array(np.full(len(okey), side, np.int64)),
-                "gk": pa.array(_coarse_key(okey, n_groups), pa.int64()),
-            })
-        return f
+            else:
+                keep = okey % 11 != 0
+            return pa.table({"o_orderkey": okey[keep],
+                             "cents": cents[keep]})
+        return orders.map_batches(f, batch_format="pyarrow",
+                                  zero_copy_batch=True)
 
-    both = orders.map_batches(snap(0), batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .union(orders.map_batches(snap(1), batch_format="pyarrow",
-                                  zero_copy_batch=True))
-
-    def diff(g: dict) -> dict:
-        okey = np.asarray(g["o_orderkey"], np.int64)
-        cents = np.asarray(g["cents"], np.int64)
-        side = np.asarray(g["side"], np.int64)
-        order = np.lexsort((side, okey))
-        okey, cents, side = okey[order], cents[order], side[order]
-        n = len(okey)
-        starts = np.flatnonzero(np.concatenate(
-            ([True], okey[1:] != okey[:-1])))
-        seg_len = np.diff(np.append(starts, n))
-        k = okey[starts]
-        old = np.where(side[starts] == 0, cents[starts], -1)
-        last = starts + seg_len - 1
-        new = np.where(side[last] == 1, cents[last], -1)
+    def diff(old_t: pa.Table, new_t: pa.Table) -> dict:
+        ko = old_t.column("o_orderkey").to_numpy(zero_copy_only=False)
+        kn = new_t.column("o_orderkey").to_numpy(zero_copy_only=False)
+        k = np.union1d(ko, kn)
+        old = np.full(len(k), -1, np.int64)
+        new = np.full(len(k), -1, np.int64)
+        old[np.searchsorted(k, ko)] = \
+            old_t.column("cents").to_numpy(zero_copy_only=False)
+        new[np.searchsorted(k, kn)] = \
+            new_t.column("cents").to_numpy(zero_copy_only=False)
         added = old == -1
         removed = new == -1
         changed = (~added) & (~removed) & (old != new)
@@ -6100,8 +5894,10 @@ def snapshot_diff(sf_dir: str):
                 "old_cents": old[emit],
                 "new_cents": new[emit]}
 
-    return (both.groupby("gk").map_groups(diff, batch_format="numpy")
-            .sort("o_orderkey"))
+    snap_schema = pa.schema([("o_orderkey", pa.int64()),
+                             ("cents", pa.int64())])
+    return _cogroup((snap(False), snap_schema), (snap(True), snap_schema),
+                    "o_orderkey", n_groups, diff).sort("o_orderkey")
 
 
 def customer_ltv(sf_dir: str, rows_per_group: int = 5000):
@@ -6116,12 +5912,10 @@ def customer_ltv(sf_dir: str, rows_per_group: int = 5000):
     rows — (1) lineitems pre-aggregate per order INSIDE each block
     (``np.unique`` + ``np.bincount`` — the exchange carries per-(block,
     order) partials, never lineitems), then per-order revenue reduces
-    and pairs with tagged order rows in one ``hash(o_orderkey)``
-    groupby; (2) the resulting (custkey, revenue, ts) rows reduce per
-    customer in a ``hash(custkey)`` groupby; (3) tagged customer
-    attribute rows attach in a second ``hash(custkey)`` groupby.  The
-    tagged-union shape sidesteps the chained-``Dataset.join`` aggregator
-    deadlock (round-4 finding)."""
+    and pairs with the order rows in one :func:`_cogroup` on
+    ``o_orderkey``; (2) the resulting (custkey, revenue, ts) rows reduce
+    per customer in a ``hash(custkey)`` groupby; (3) customer attribute
+    rows attach in a second :func:`_cogroup`, on ``c_custkey``."""
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_extendedprice",
                              "l_discount"])
@@ -6143,37 +5937,22 @@ def customer_ltv(sf_dir: str, rows_per_group: int = 5000):
         cents = _cents(disc, factor=100.0).to_numpy()
         uniq, inv = np.unique(okey, return_inverse=True)
         rev = np.bincount(inv, weights=cents).astype(np.int64)
-        return pa.table({
-            "o_orderkey": pa.array(uniq),
-            "rev_cents": pa.array(rev),
-            "o_custkey": pa.array(np.full(len(uniq), -1, np.int64)),
-            "ts_us": pa.array(np.full(len(uniq), -1, np.int64)),
-            "gk": pa.array(_coarse_key(uniq, n_groups), pa.int64()),
-        })
+        return pa.table({"o_orderkey": uniq, "rev_cents": rev})
 
-    def ord_rows(t: pa.Table) -> pa.Table:
-        okey = t.column("o_orderkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return pa.table({
-            "o_orderkey": pa.array(okey),
-            "rev_cents": pa.array(np.zeros(len(okey), np.int64)),
-            "o_custkey": pc.cast(t.column("o_custkey"), pa.int64()),
-            "ts_us": pc.cast(t.column("o_orderdate"), pa.int64()),
-            "gk": pa.array(_coarse_key(okey, n_groups), pa.int64()),
-        })
-
-    def per_order(g: dict) -> dict:
-        okey = np.asarray(g["o_orderkey"], np.int64)
-        rev = np.asarray(g["rev_cents"], np.int64)
-        ck = np.asarray(g["o_custkey"], np.int64)
-        ts = np.asarray(g["ts_us"], np.int64)
-        uniq, inv = np.unique(okey, return_inverse=True)
-        total = np.bincount(inv, weights=rev).astype(np.int64)
+    def per_order(li_t: pa.Table, ord_t: pa.Table) -> dict:
+        lk = li_t.column("o_orderkey").to_numpy(zero_copy_only=False)
+        ok = ord_t.column("o_orderkey").to_numpy(zero_copy_only=False)
+        uniq, inv = np.unique(np.concatenate([lk, ok]), return_inverse=True)
+        total = np.bincount(
+            inv[:len(lk)],
+            weights=li_t.column("rev_cents").to_numpy(zero_copy_only=False),
+            minlength=len(uniq)).astype(np.int64)
         cust_of = np.full(len(uniq), -1, np.int64)
         ts_of = np.full(len(uniq), -1, np.int64)
-        has = ck >= 0
-        cust_of[inv[has]] = ck[has]
-        ts_of[inv[has]] = ts[has]
+        cust_of[inv[len(lk):]] = \
+            ord_t.column("o_custkey").to_numpy(zero_copy_only=False)
+        ts_of[inv[len(lk):]] = \
+            ord_t.column("ts_us").to_numpy(zero_copy_only=False)
         keep = cust_of >= 0            # orders absent from orders table
         ckk = cust_of[keep]
         return {"c_custkey": ckk,
@@ -6182,11 +5961,14 @@ def customer_ltv(sf_dir: str, rows_per_group: int = 5000):
                 "n_orders": np.ones(len(ckk), np.int64),
                 "gk2": _coarse_key(ckk, n_groups)}
 
-    per_cust_in = li.map_batches(li_partial, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .union(orders.map_batches(ord_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True)) \
-        .groupby("gk").map_groups(per_order, batch_format="numpy")
+    per_cust_in = _cogroup(
+        (li.map_batches(li_partial, batch_format="pyarrow",
+                        zero_copy_batch=True),
+         pa.schema([("o_orderkey", pa.int64()), ("rev_cents", pa.int64())])),
+        (orders.rename_columns({"o_orderdate": "ts_us"}),
+         pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
+                    ("ts_us", pa.int64())])),
+        "o_orderkey", n_groups, per_order)
 
     def per_cust(g: dict) -> dict:
         ck = np.asarray(g["c_custkey"], np.int64)
@@ -6199,53 +5981,25 @@ def customer_ltv(sf_dir: str, rows_per_group: int = 5000):
                     .astype(np.int64),
                 "gross_cents": np.bincount(inv, weights=rev)
                     .astype(np.int64),
-                "last_order_ts_us": _segment_max(ts, inv, len(uniq)),
-                "c_name": np.array([""] * len(uniq), object),
-                "c_mktsegment": np.array([""] * len(uniq), object),
-                "is_attr": np.zeros(len(uniq), np.int64),
-                "gk3": _coarse_key(uniq, n_groups)}
+                "last_order_ts_us": _segment_max(ts, inv, len(uniq))}
 
-    def cust_rows(t: pa.Table) -> pa.Table:
-        ck = t.column("c_custkey").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        z = np.zeros(len(ck), np.int64)
-        return pa.table({
-            "c_custkey": pa.array(ck),
-            "n_orders": pa.array(z),
-            "gross_cents": pa.array(z),
-            "last_order_ts_us": pa.array(z),
-            "c_name": t.column("c_name"),
-            "c_mktsegment": t.column("c_mktsegment"),
-            "is_attr": pa.array(np.ones(len(ck), np.int64)),
-            "gk3": pa.array(_coarse_key(ck, n_groups), pa.int64()),
-        })
-
-    def attach(df: pd.DataFrame) -> pa.Table:
-        attr = df[df["is_attr"] == 1].set_index("c_custkey")
-        agg = df[df["is_attr"] == 0]
+    def attach(agg: pa.Table, attr: pa.Table) -> pa.Table:
         # a customer with no orders is silent (inner semantics)
-        agg = agg[agg["c_custkey"].isin(attr.index)]
-        name = attr["c_name"].reindex(agg["c_custkey"]).to_numpy(object)
-        seg = attr["c_mktsegment"].reindex(agg["c_custkey"]) \
-            .to_numpy(object)
-        return pa.table({
-            "c_custkey": pa.array(agg["c_custkey"].to_numpy(np.int64)),
-            "c_name": pa.array(name.tolist(), pa.string()),
-            "c_mktsegment": pa.array(seg.tolist(), pa.string()),
-            "n_orders": pa.array(agg["n_orders"].to_numpy(np.int64)),
-            "gross_cents": pa.array(
-                agg["gross_cents"].to_numpy(np.int64)),
-            "last_order_ts_us": pa.array(
-                agg["last_order_ts_us"].to_numpy(np.int64)),
-        })
+        return agg.join(attr, "c_custkey", join_type="inner").select(
+            ["c_custkey", "c_name", "c_mktsegment", "n_orders",
+             "gross_cents", "last_order_ts_us"])
 
     per_cust_ds = per_cust_in.groupby("gk2") \
-        .map_groups(per_cust, batch_format="numpy") \
-        .union(cust.map_batches(cust_rows, batch_format="pyarrow",
-                                zero_copy_batch=True))
-    return (per_cust_ds.groupby("gk3")
-            .map_groups(attach, batch_format="pandas")
-            .sort("c_custkey"))
+        .map_groups(per_cust, batch_format="numpy")
+    agg_schema = pa.schema([("c_custkey", pa.int64()),
+                            ("n_orders", pa.int64()),
+                            ("gross_cents", pa.int64()),
+                            ("last_order_ts_us", pa.int64())])
+    cust_schema = pa.schema([("c_custkey", pa.int64()),
+                             ("c_name", pa.string()),
+                             ("c_mktsegment", pa.string())])
+    return _cogroup((per_cust_ds, agg_schema), (cust, cust_schema),
+                    "c_custkey", n_groups, attach).sort("c_custkey")
 
 
 def _segment_max(vals: np.ndarray, inv: np.ndarray, n_seg: int
@@ -7072,9 +6826,9 @@ def corpus_curate(sf_dir: str, rows_per_group: int = 5000):
     is the surviving (doc_id, n_words, lm_score_micro) projection.
 
     Scale shape: both flag streams are full-corpus-sized, so they meet
-    in ONE coarse tagged-union exchange keyed ``doc_id % n_groups``
-    (never a broadcast, never a ``Dataset.join`` aggregator) and each
-    group kernel is a single vectorised pandas merge.  The tertile
+    in ONE :func:`_cogroup` exchange on ``doc_id`` (never a broadcast,
+    never a ``Dataset.join`` aggregator) and each group kernel is a
+    single Arrow inner join.  The tertile
     boundary reuses the exact value-domain histogram fold
     (:func:`_quantile_fold`) off the memoised LM scores."""
     scores = unigram_lm_score(sf_dir).materialize()
@@ -7084,49 +6838,25 @@ def corpus_curate(sf_dir: str, rows_per_group: int = 5000):
     scores = _coalesce_schema_less(scores)
     gq = _coalesce_schema_less(gopher_quality(sf_dir))
     n_docs = scores.count()
-    n_groups = np.int64(max(32, n_docs // rows_per_group))
+    n_groups = max(32, n_docs // rows_per_group)
 
-    def gopher_rows(t: pa.Table) -> pa.Table:
-        keep = t.column("keep").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        key = pc.cast(t.column("doc_id"), pa.int64())
-        return pa.table({
-            "doc_id": key,
-            "n_words": pc.cast(t.column("n_words"), pa.int64()),
-            "lm_score_micro": pa.nulls(t.num_rows, pa.int64()),
-            "tag": pa.array(np.zeros(t.num_rows, np.int8)),
-            "ok": pa.array(keep, pa.int64()),
-            "gk": pc.cast(_pmod(key, n_groups), pa.int32()),
-        }).filter(pa.array(keep == 1))
+    def kept(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t.column("keep"), 1))
 
-    def lm_rows(t: pa.Table) -> pa.Table:
-        s = t.column("lm_score_micro").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        key = pc.cast(t.column("doc_id"), pa.int64())
-        ok = (s <= b2).astype(np.int64)
-        return pa.table({
-            "doc_id": key,
-            "n_words": pa.nulls(t.num_rows, pa.int64()),
-            "lm_score_micro": pa.array(s, pa.int64()),
-            "tag": pa.array(np.ones(t.num_rows, np.int8)),
-            "ok": pa.array(ok, pa.int64()),
-            "gk": pc.cast(_pmod(key, n_groups), pa.int32()),
-        }).filter(pa.array(ok == 1))
+    def below_p67(t: pa.Table) -> pa.Table:
+        return t.filter(pc.less_equal(t.column("lm_score_micro"), int(b2)))
 
-    def both(g: pd.DataFrame) -> pd.DataFrame:
-        left = g.loc[g["tag"] == 0, ["doc_id", "n_words"]]
-        right = g.loc[g["tag"] == 1, ["doc_id", "lm_score_micro"]]
-        out = left.merge(right, on="doc_id")
-        return out.astype({"doc_id": "int64", "n_words": "int64",
-                           "lm_score_micro": "int64"})
+    def both(ok: pa.Table, lm: pa.Table) -> pa.Table:
+        return ok.join(lm, "doc_id", join_type="inner")
 
-    return (gq.map_batches(gopher_rows, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .union(scores.map_batches(lm_rows, batch_format="pyarrow",
-                                      zero_copy_batch=True))
-            .groupby("gk").map_groups(both, batch_format="pandas")
-            .sort("doc_id")
-            .select_columns(["doc_id", "n_words", "lm_score_micro"]))
+    return _cogroup(
+        (gq.map_batches(kept, batch_format="pyarrow", zero_copy_batch=True),
+         pa.schema([("doc_id", pa.int64()), ("n_words", pa.int64())])),
+        (scores.map_batches(below_p67, batch_format="pyarrow",
+                            zero_copy_batch=True),
+         pa.schema([("doc_id", pa.int64()),
+                    ("lm_score_micro", pa.int64())])),
+        "doc_id", n_groups, both).sort("doc_id")
 
 
 def corpus_stats(sf_dir: str):

@@ -224,13 +224,15 @@ class LFBank:
 
         def run(fn, source, to_exclude=()):
             layers.clear_source(source)
+            excluded = layers.intervals(to_exclude)
             for start, end, label in fn(doc, layers):
-                add(start, end, label, source, to_exclude=to_exclude)
+                add(start, end, label, source, excluded=excluded)
 
         def run_gen(gen, source, to_exclude=()):
             layers.clear_source(source)
+            excluded = layers.intervals(to_exclude)
             for start, end, label in gen(doc):
-                add(start, end, label, source, to_exclude=to_exclude)
+                add(start, end, label, source, excluded=excluded)
 
         run(det.date_detector, "date_detector")
         run(det.time_detector, "time_detector")
@@ -274,13 +276,14 @@ class LFBank:
         # gazetteers (annotations.py:336-359); product excludes only d/t/m
         for name in GAZETTEER_NAMES:
             matcher = self.matchers[name]
-            exc = self._EXC_DTM if name == "product" else self._EXC_DTMN
+            excluded = layers.intervals(
+                self._EXC_DTM if name == "product" else self._EXC_DTMN)
             for cased, case_sensitive in (("cased", True),
                                           ("uncased", False)):
                 source = f"{name}_{cased}"
                 layers.clear_source(source)
                 for s, e, lab, conf in matcher.get_hits(doc, case_sensitive):
-                    add(s, e, lab, source, conf, to_exclude=exc)
+                    add(s, e, lab, source, conf, excluded=excluded)
                 # multitoken variants (annotations.py:357-359)
                 msource = "multitoken_" + source
                 layers.clear_source(msource)

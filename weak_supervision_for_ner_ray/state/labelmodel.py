@@ -19,6 +19,10 @@ E-step distributes as mergeable per-block partials exactly like the HMM EM
 
 from __future__ import annotations
 
+import os
+import zipfile
+import zlib
+
 import numpy as np
 
 from ..constants import LABELS
@@ -63,13 +67,27 @@ class LabelModelParams:
             conf[:, y, y] = fire_rate * accuracy
         return cls(prior, conf)
 
-    def save(self, path: str) -> None:
-        np.savez_compressed(path, prior=self.prior, conf=self.conf)
+    def save(self, path: str, n_iter: int) -> None:
+        """Write ``path`` atomically (a temp file, then ``os.replace``: a
+        kill mid-write leaves the previous file or none), stamped with the
+        EM iteration count the parameters were trained for."""
+        tmp = path + ".tmp.npz"
+        np.savez_compressed(tmp, prior=self.prior, conf=self.conf,
+                            n_iter=n_iter)
+        os.replace(tmp, path)
 
     @classmethod
-    def load(cls, path: str) -> "LabelModelParams":
-        z = np.load(path)
-        return cls(z["prior"], z["conf"])
+    def load(cls, path: str, n_iter: int) -> "LabelModelParams | None":
+        """The parameters saved at ``path`` if it holds a complete file
+        trained for ``n_iter`` iterations, else None (retrain)."""
+        try:
+            with np.load(path) as z:
+                if int(z["n_iter"]) != n_iter:
+                    return None
+                return cls(z["prior"], z["conf"])
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
+                zlib.error):
+            return None
 
 
 def posteriors_flat(params: LabelModelParams, n_spans: int,
