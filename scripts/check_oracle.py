@@ -5,6 +5,7 @@ values.  Each line gives the Ray query's seconds and, for exact oracles,
 the DuckDB oracle's.  Usage: python scripts/check_oracle.py [sf_dir]
 [query ...]"""
 
+import os
 import sys
 import time
 
@@ -43,7 +44,9 @@ def main():
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's entry module and package, wherever it is cloned
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()

@@ -12,17 +12,18 @@ Examples::
         --workdir /tmp/kg_run --n-iter 10
 
     # on a cluster
-    ray job submit --working-dir /root/repo -- \
+    ray job submit --working-dir . -- \
         python scripts/run_pipeline.py --input s3://bucket/turns/ \
         --workdir /mnt/shared/kg_run --n-iter 10
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:

@@ -138,6 +138,48 @@ def test_lineage_records_written(ray_session, small_corpus,
     assert all(w >= 0 for w in lin.column("wall_ms").to_pylist())
 
 
+def test_failed_build_leaves_no_lineage_for_the_next(ray_session,
+                                                     small_corpus,
+                                                     tmp_path_factory,
+                                                     monkeypatch):
+    """A build that raises after writing its obs table keeps its records
+    out of the next build's lineage: build 1 fails in EM, build 2 runs on
+    other conversations in a fresh workdir, and build 2's table names only
+    build 2's conversations.  Build 1's records land in its own workdir."""
+    import pytest
+
+    from weak_supervision_for_ner_ray.data import generate_corpus
+    from weak_supervision_for_ner_ray.pipelines import kg
+
+    def lineage_keys(wd):
+        lin = to_arrow(rd.read_parquet(os.path.join(wd, "lineage")))
+        return lin.column("partition_key").to_pylist()
+
+    turns1, _, _ = small_corpus
+    turns2, _, _ = generate_corpus(6, seed=29)
+    conv2 = ["b" + c for c in turns2.column("conv_id").to_pylist()]
+    turns2 = turns2.set_column(turns2.schema.get_field_index("conv_id"),
+                               "conv_id", pa.array(conv2, pa.string()))
+
+    def em_fails(*_a, **_kw):
+        raise RuntimeError("EM failed")
+
+    wd1 = str(tmp_path_factory.mktemp("lineage_failed"))
+    with monkeypatch.context() as m:
+        m.setattr(kg, "train_hmm_sharded", em_fails)
+        with pytest.raises(RuntimeError, match="EM failed"):
+            build_kg(rd.from_arrow(turns1), wd1, n_iter=1, write=True,
+                     lineage=True)
+    wd2 = str(tmp_path_factory.mktemp("lineage_next"))
+    build_kg(rd.from_arrow(turns2), wd2, n_iter=1, write=True, lineage=True)
+    keys2 = lineage_keys(wd2)
+    assert keys2 and set(keys2) <= set(conv2)
+    keys1 = lineage_keys(wd1)
+    assert keys1 and set(keys1) <= set(turns1.column("conv_id").to_pylist())
+    assert not [d for d in os.listdir(os.path.join(wd1, "lineage"))
+                if d.startswith("_staging")]
+
+
 def test_snorkel_label_model_vs_majority_vote(ray_session, small_corpus,
                                               tmp_path_factory):
     """Snorkel-equivalent generative label model (labelling.py:534-590

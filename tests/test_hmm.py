@@ -522,12 +522,46 @@ def test_decode_stage_one_decode_block_call_per_block(corpus_obs,
     # each run starts with empty per-worker memos
     monkeypatch.setattr(util, "_WORKER_CACHE", OrderedDict())
     gaz = builtin_gazetteers()
-    whole = make_decode_triple_fn(p, gaz)(table)
+    whole = make_decode_triple_fn((p, gaz))(table)
     assert len(calls) == 1
     util._WORKER_CACHE.clear()
-    batched_fn = make_decode_triple_fn(p, gaz)
+    batched_fn = make_decode_triple_fn((p, gaz))
     batched = pa.concat_tables([batched_fn(table.slice(lo, 256))
                                 for lo in range(0, table.num_rows, 256)])
     assert len(calls) == 1 + -(-table.num_rows // 256)
     assert whole.equals(batched)
     assert pc.sum(pc.equal(whole["kind"], "n")).as_py() > 100
+
+
+def test_worker_cache_keeps_one_generation_per_kg_kind(corpus_obs,
+                                                       small_corpus,
+                                                       monkeypatch):
+    """A worker keeps one build's KG state: after three builds' broadcasts
+    in turn, the cache holds one ``annotate`` entry (LF bank + text memo)
+    and one ``decode`` entry (params, alias index, decode and triple
+    memos), and every generation computes the same output."""
+    from collections import Counter, OrderedDict
+
+    from weak_supervision_for_ner_ray.data import (DETECTOR_FIRST_NAMES,
+                                                   builtin_gazetteers)
+    from weak_supervision_for_ner_ray.stages import util
+    from weak_supervision_for_ner_ray.stages.annotate import (
+        make_full_conv_annotate_fn)
+    from weak_supervision_for_ner_ray.stages.kg import make_decode_triple_fn
+    table, _, p = corpus_obs
+    turns, _, _ = small_corpus
+    raw = turns.append_column(
+        "_win", pa.array([0] * turns.num_rows, pa.int32())).sort_by(
+            [("conv_id", "ascending")])
+    monkeypatch.setattr(util, "_WORKER_CACHE", OrderedDict())
+    gaz = builtin_gazetteers()
+    # three builds' broadcasts: distinct objects, alive throughout
+    inputs = [((gaz, DETECTOR_FIRST_NAMES), (p, gaz)) for _ in range(3)]
+    outs = [(make_full_conv_annotate_fn(bank_inputs)(raw),
+             make_decode_triple_fn(decode_inputs)(table))
+            for bank_inputs, decode_inputs in inputs]
+    assert Counter(kind for _, kind in util._WORKER_CACHE) == {
+        "annotate": 1, "decode": 1}
+    assert all(obs.equals(outs[0][0]) and dec.equals(outs[0][1])
+               for obs, dec in outs)
+    assert outs[0][0].num_rows == turns.num_rows

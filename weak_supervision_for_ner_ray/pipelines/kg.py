@@ -93,14 +93,14 @@ def detector_mentions(turns_ds, source: str):
 
 
 def annotate_turns(turns_ds, *, gazetteers=None, first_names=None,
-                   concurrency=None, lin_actor=None):
+                   concurrency=None, lin_sink=None):
     """Lazy annotation pipeline: turns -> turn- and conversation-level
     mentions (nested ``mentions`` column) beside the encoded observation
     (``stages.annotate.annotate_pipeline``)."""
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
     fn = first_names if first_names is not None else DETECTOR_FIRST_NAMES
     return annotate_pipeline(turns_ds, ray.put((gaz, fn)),
-                             concurrency=concurrency, lin_actor=lin_actor)
+                             concurrency=concurrency, lin_sink=lin_sink)
 
 
 def write_once(ds, path: str, stamp: str = "", **write_kw) -> str:
@@ -121,7 +121,7 @@ def write_once(ds, path: str, stamp: str = "", **write_kw) -> str:
 
 
 def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
-              concurrency=None, lin_actor=None) -> str:
+              concurrency=None, lin_sink=None) -> str:
     """The one annotate + encode -> write step, shared by the HMM, the
     majority-vote and the Snorkel paths: returns ``<workdir>/obs``.
 
@@ -141,7 +141,7 @@ def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     catch them without global clustering."""
     obs = annotate_turns(turns_ds, gazetteers=gazetteers,
                          first_names=first_names, concurrency=concurrency,
-                         lin_actor=lin_actor)
+                         lin_sink=lin_sink)
     # the grouped stage emits one table per sort range; bundling them
     # into files of >= 256 rows gives the file layout of a batched encode
     # stage and fewer files for the EM and decode reads to open (kg_cold,
@@ -201,63 +201,71 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     ``annotated``, ``ner``, ``triples``, ``nodes``, ``edges``.
 
     With ``lineage=True`` every block of the obs-encode and triple stages
-    emits a per-partition lineage record; the table is flushed to
-    ``<workdir>/lineage`` at the end (north rule)."""
+    writes a per-partition lineage record into this build's staging
+    directory; once the triples are decoded, or when the build raises,
+    the records become one table in ``<workdir>/lineage`` (north rule).
+    ``state.lineage`` is called through the module at call time."""
     import glob
 
     import pyarrow.parquet as pq
 
     from ..stages.kg import make_decode_triple_fn
     from ..stages.util import blocks_for_rows, with_lineage
-    from ..state.lineage import flush_lineage, get_lineage_actor
+    from ..state import lineage as lin
 
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
-    lin_actor = get_lineage_actor() if lineage else None
+    lin_sink = lin.get_lineage_actor(workdir) if lineage else None
+    try:
+        # single materialization point: turn sources, conversation sources
+        # and obs encoding run in one grouped stage, one parquet write
+        obs_dir = write_obs(turns_ds, workdir, gazetteers=gaz,
+                            first_names=first_names, concurrency=concurrency,
+                            lin_sink=lin_sink)
+        # both obs reads are sized from the footers' row counts
+        nblocks = blocks_for_rows(sum(
+            pq.read_metadata(f).num_rows
+            for f in glob.glob(os.path.join(obs_dir, "*.parquet"))))
+        # lazy full read (text + nested mentions) — only executed if the
+        # caller consumes the annotated corpus
+        annotated = rd.read_parquet(obs_dir, override_num_blocks=nblocks)
 
-    # single materialization point: turn sources, conversation sources and
-    # obs encoding run in one grouped stage, one parquet write
-    obs_dir = write_obs(turns_ds, workdir, gazetteers=gaz,
-                        first_names=first_names, concurrency=concurrency,
-                        lin_actor=lin_actor)
-    # both obs reads are sized from the footers' row counts
-    nblocks = blocks_for_rows(sum(
-        pq.read_metadata(f).num_rows
-        for f in glob.glob(os.path.join(obs_dir, "*.parquet"))))
-    # lazy full read (text + nested mentions) — only executed if the
-    # caller consumes the annotated corpus
-    annotated = rd.read_parquet(obs_dir, override_num_blocks=nblocks)
+        # EM runs as one stateless task per obs shard per pass on the
+        # default worker pool (no per-pass dataset execution overhead, no
+        # actors)
+        params = train_hmm_sharded(obs_dir, workdir, n_iter=n_iter,
+                                   seed=seed)
+        # the outputs below are stamped with the params they were decoded
+        # with: a rerun that trains further rewrites them instead of
+        # reusing a shorter run's triples
+        stamp = params.digest()
 
-    # EM runs as one stateless task per obs shard per pass on the default
-    # worker pool (no per-pass dataset execution overhead, no actors)
-    params = train_hmm_sharded(obs_dir, workdir, n_iter=n_iter, seed=seed)
-    # the outputs below are stamped with the params they were decoded
-    # with: a rerun that trains further rewrites them instead of reusing
-    # a shorter run's triples
-    stamp = params.digest()
-    params_ref = ray.put(params)
-    gaz_ref = ray.put(gaz)
+        # fused decode+link+triple stage over ONE pruned read (drops the
+        # wide nested `mentions` column from the scan): each turn is
+        # Viterbi-decoded once and both the ner spans and the triples come
+        # out of the same pass, tagged by `kind`.  Each obs block is one
+        # call, so its decode-memo misses share one hmm.decode_block
+        # pattern table and tiles
+        obs_min = rd.read_parquet(
+            obs_dir, columns=["conv_id", "turn_idx", "text", "n_tokens",
+                              "o_t", "o_s", "o_state", "o_conf"],
+            override_num_blocks=nblocks)
+        combined = obs_min.map_batches(
+            with_lineage(make_decode_triple_fn(ray.put((params, gaz))),
+                         "decode_triples", lin_sink),
+            batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
-    # fused decode+link+triple stage over ONE pruned read (drops the wide
-    # nested `mentions` column from the scan): each turn is Viterbi-decoded
-    # once and both the ner spans and the triples come out of the same
-    # pass, tagged by `kind`.  Each obs block is one call, so its
-    # decode-memo misses share one hmm.decode_block pattern table and tiles
-    obs_min = rd.read_parquet(
-        obs_dir, columns=["conv_id", "turn_idx", "text", "n_tokens",
-                          "o_t", "o_s", "o_state", "o_conf"],
-        override_num_blocks=nblocks)
-    combined = obs_min.map_batches(
-        with_lineage(make_decode_triple_fn(params_ref, gaz_ref),
-                     "decode_triples", lin_actor),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-    if write:
-        combined = rd.read_parquet(
-            write_once(combined, os.path.join(workdir, "decoded"), stamp))
-    else:
-        # decoded output is a small fraction of the input corpus; holding
-        # it avoids re-running the fused stage for the two consumers
-        combined = combined.materialize()
+        if write:
+            combined = rd.read_parquet(
+                write_once(combined, os.path.join(workdir, "decoded"),
+                           stamp))
+        else:
+            # decoded output is a small fraction of the input corpus;
+            # holding it avoids re-running the fused stage for the two
+            # consumers
+            combined = combined.materialize()
+    finally:
+        if lin_sink is not None:
+            lin.flush_lineage(lin_sink, os.path.join(workdir, "lineage"))
 
     def to_ner(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -276,9 +284,6 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
                                zero_copy_batch=True)
     triples = combined.map_batches(to_triples, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    if lin_actor is not None:
-        flush_lineage(lin_actor, os.path.join(workdir, "lineage"))
-
     nodes, edges = graph_tables(triples)
     if write:
         # hand back a read of the written table: consumers re-consume

@@ -170,6 +170,9 @@ class LFBank:
     _EXC_DTM = ("date_detector", "time_detector", "money_detector")
     _EXC_DTML = _EXC_DTM + ("legal_detector",)
     _EXC_DTMN = _EXC_DTM + ("number_detector",)
+    # the only sources finish_conversation writes
+    CONVERSATION_SOURCES = frozenset({"doc_history", "doc_majority_cased",
+                                      "doc_majority_uncased"})
 
     def __init__(self, gazetteers: dict[str, dict[str, list[str]]],
                  first_names: list[str],
@@ -313,7 +316,9 @@ class LFBank:
 
     def finish_conversation(self, turn_idxs: list[int], docs: list[Doc],
                             layers_list: list[Layers]) -> None:
-        """Doc-level sources only (turn-level layers already computed)."""
+        """Doc-level sources only (turn-level layers already computed):
+        writes :attr:`CONVERSATION_SOURCES` and leaves every other source
+        of ``layers_list`` as it was."""
         conv = ConversationDoc(turn_idxs, docs, layers_list)
         doc_history(conv)
         doc_majority(conv)

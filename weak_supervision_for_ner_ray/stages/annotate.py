@@ -102,14 +102,6 @@ def annotate_conv_group(bank: LFBank, group: pa.Table) -> pa.Table:
     })
 
 
-def _bank_from(bank_inputs) -> LFBank:
-    # bank_inputs: (gazetteers, first_names[, form_frequencies])
-    from .util import cached_from_ref
-    return cached_from_ref(bank_inputs,
-                           builder=lambda v: LFBank(*v),
-                           key_extra="lfbank")
-
-
 def _conversations(block: pa.Table) -> tuple[pa.Table, list[int]]:
     """A block sorted by ``(conv_id, _win)`` with each conversation
     window's turns stably put in turn_idx order, and the row offsets where
@@ -126,22 +118,24 @@ def _conversations(block: pa.Table) -> tuple[pa.Table, list[int]]:
     return block.take(order), bounds
 
 
-def make_full_conv_annotate_fn(bank_inputs_ref, lin_actor=None):
+def make_full_conv_annotate_fn(bank_inputs_ref, lin_sink=None):
     """Whole-conversation annotate and obs encode over one block of turns
     sorted by ``(conv_id, _win)``; returns the block's obs table.
 
     Shuffling RAW turns (conv_id, turn_idx, role, text) before any
     annotation moves ~10× less data through the exchange than shuffling
     annotated rows with their nested mention column; the LF bank then runs
-    once per conversation after it (per-worker bank + per-worker text memo
-    still apply).  Each non-empty block emits one ``encode_obs`` lineage
-    record."""
+    once per conversation after it.  Each worker keeps one ``annotate``
+    entry built from ``bank_inputs_ref`` (``ray.put((gazetteers,
+    first_names))``): the LF bank and its text memo, replaced together by
+    the next build's broadcast.  Each non-empty block emits one
+    ``encode_obs`` lineage record."""
     from .util import cached_from_ref, with_lineage
 
     def annotate_block(block: pa.Table) -> pa.Table:
-        bank = _bank_from(bank_inputs_ref)
-        memo = cached_from_ref(bank_inputs_ref, builder=lambda _: {},
-                               key_extra="turn_memo")
+        bank, memo = cached_from_ref(
+            bank_inputs_ref, builder=lambda v: (LFBank(*v), {}),
+            key_extra="annotate")
         block, bounds = _conversations(block)
         annotated = annotate_texts(bank, block.column("text").to_pylist(),
                                    memo)
@@ -157,10 +151,11 @@ def make_full_conv_annotate_fn(bank_inputs_ref, lin_actor=None):
             "turn_idx": block.column("turn_idx"),
             "text": block.column("text"),
             "n_tokens": pa.array(n_tokens, pa.int32()),
-            **encode_layers(layers_list, n_tokens),
+            **encode_layers(layers_list, n_tokens,
+                            fresh=LFBank.CONVERSATION_SOURCES),
         })
 
-    annotate_block = with_lineage(annotate_block, "encode_obs", lin_actor)
+    annotate_block = with_lineage(annotate_block, "encode_obs", lin_sink)
 
     def full_conv_annotate(block: pa.Table) -> pa.Table:
         # the sort leaves empty (even column-less) blocks behind
@@ -174,7 +169,7 @@ MAX_CONV_WINDOW = 5000
 
 def annotate_pipeline(turns, bank_inputs_ref, *, concurrency=None,
                       max_conv_window: int = MAX_CONV_WINDOW,
-                      lin_actor=None):
+                      lin_sink=None):
     """turns Dataset -> obs Dataset: turn- and conversation-level
     ``mentions`` plus the encoded observation (``stages.encode``).
 
@@ -212,6 +207,6 @@ def annotate_pipeline(turns, bank_inputs_ref, *, concurrency=None,
     return turns.map_batches(add_window, batch_format="pyarrow",
                              batch_size=batch_size, zero_copy_batch=True) \
         .sort(["conv_id", "_win"]) \
-        .map_batches(make_full_conv_annotate_fn(bank_inputs_ref, lin_actor),
+        .map_batches(make_full_conv_annotate_fn(bank_inputs_ref, lin_sink),
                      batch_format="pyarrow", batch_size=None,
                      zero_copy_batch=True, concurrency=concurrency)

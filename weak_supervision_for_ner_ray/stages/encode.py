@@ -50,24 +50,36 @@ _SPECIALISE_VOTERS = [
 ]
 
 
-def canonical_layers(layers: Layers) -> Layers:
+def canonical_layers(layers: Layers, fresh=None) -> Layers:
     """``layers`` as the nested ``mentions`` column stores them: known
     sources only, sources and spans in sorted order, spans without values
     dropped, conf rounded to float32.  The conversation-level sources and
     the specialise vote read span order and conf bits, so the grouped stage
     runs them on canonical layers to get what a round trip through the
     column gives.  Value tuples are shared with ``layers`` unless rounding
-    changes a conf."""
+    changes a conf.
+
+    With ``fresh``, only the sources in it are canonicalised: every other
+    source must be canonical already, and its span dict is shared.  The
+    grouped stage passes the conversation-level sources, since the
+    turn-level layers it holds come canonical from :func:`annotate_texts`
+    (``stages.annotate``) and ``finish_conversation`` leaves them alone."""
     out = Layers()
     by_source = out.by_source
     confs = []
+    redone = []
     for source in sorted(layers.by_source):
+        spans = layers.by_source[source]
+        if fresh is not None and source not in fresh:
+            if spans:
+                by_source[source] = spans
+            continue
         if source not in SOURCE_INDICES:
             continue
-        spans = layers.by_source[source]
         kept = {span: spans[span] for span in sorted(spans) if spans[span]}
         if kept:
             by_source[source] = kept
+            redone.append(kept)
             confs.extend(c for vals in kept.values() for _, c in vals)
     # one C-level double -> float cast for the whole turn, the same
     # rounding Arrow applies when it builds the float32 column; most confs
@@ -75,7 +87,7 @@ def canonical_layers(layers: Layers) -> Layers:
     rounded = array("f", confs).tolist()
     if rounded != confs:
         it = iter(rounded)
-        for spans in by_source.values():
+        for spans in redone:
             for span, vals in spans.items():
                 spans[span] = tuple((label, next(it)) for label, _ in vals)
     return out
@@ -92,10 +104,10 @@ class MentionsBuilder:
         self.conf: list[float] = []
         self.offsets: list[int] = [0]
 
-    def add_layers(self, layers: Layers) -> Layers:
+    def add_layers(self, layers: Layers, fresh=None) -> Layers:
         """Append one turn's mentions; returns the canonical layers
-        (:func:`canonical_layers`) they encode."""
-        canon = canonical_layers(layers)
+        (:func:`canonical_layers`, given ``fresh``) they encode."""
+        canon = canonical_layers(layers, fresh)
         lids = LABEL_IDS
         for source, spans in canon.by_source.items():
             sid = SOURCE_INDICES[source]
@@ -411,13 +423,14 @@ def encode_obs_columns(mentions, n_tokens) -> dict[str, pa.Array]:
     }
 
 
-def encode_layers(layers_list: list[Layers],
-                  n_tokens: list[int]) -> dict[str, pa.Array]:
+def encode_layers(layers_list: list[Layers], n_tokens: list[int],
+                  fresh=None) -> dict[str, pa.Array]:
     """Conversation-finished layers -> the ``mentions`` column (canonical,
-    before specialisation) and the obs columns of the whole block."""
+    before specialisation) and the obs columns of the whole block.
+    ``fresh``: as for :func:`canonical_layers`."""
     builder = MentionsBuilder()
     for layers in layers_list:
-        builder.add_layers(layers)
+        builder.add_layers(layers, fresh)
     mentions = builder.finish()
     return {"mentions": mentions,
             **encode_obs_columns(mentions, n_tokens)}

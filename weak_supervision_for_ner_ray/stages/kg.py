@@ -190,21 +190,25 @@ def _obs_iter(batch: pa.Table):
         yield rows.turnobs(i)
 
 
-def make_decode_triple_fn(params_ref, gazetteers_ref):
+def make_decode_triple_fn(decode_inputs_ref):
     """FUSED decode + link + triple stage: one pass over ONE pruned obs
     read emits both the ``ner`` span rows and the triple rows (tagged by a
     ``kind`` column), so the obs table is scanned once and each turn is
-    Viterbi-decoded once."""
+    Viterbi-decoded once.
+
+    ``decode_inputs_ref``: ``ray.put((params, gazetteers))``.  Each worker
+    keeps one ``decode`` entry built from it: the params, the alias index
+    and the decode and triple memos, all replaced together by the next
+    build's broadcast."""
     from .util import cached_from_ref
 
+    def decode_state(inputs):
+        params, gazetteers = inputs
+        return params, AliasIndex(gazetteers), {}, {}
+
     def decode_triples(batch: pa.Table) -> pa.Table:
-        params = cached_from_ref(params_ref)
-        index = cached_from_ref(gazetteers_ref, builder=AliasIndex,
-                                key_extra="alias_index")
-        triple_memo = cached_from_ref(params_ref, builder=lambda _: {},
-                                      key_extra="triple_memo")
-        decode_memo = cached_from_ref(params_ref, builder=lambda _: {},
-                                      key_extra="decode_memo")
+        params, index, decode_memo, triple_memo = cached_from_ref(
+            decode_inputs_ref, builder=decode_state, key_extra="decode")
         return decode_triple_batch(params, index, batch,
                                    decode_memo=decode_memo,
                                    triple_memo=triple_memo)

@@ -1,21 +1,27 @@
 """Per-partition lineage records (north rule: "every partition emits lineage
 records plus checkpointed HMM sufficient statistics").
 
-A detached-ish named actor buffers small records sent fire-and-forget from
-worker tasks; the driver flushes them to a ``lineage`` Parquet table at the
-end of a pipeline run (FIXTURES.md §5 schema).  Overhead is one small remote
-call per *block*, not per row.
+Each build gets its own staging directory under ``<workdir>/lineage``
+(:func:`get_lineage_actor`).  Every block of a wrapped stage writes its one
+record there as a small Parquet file from the worker that ran it
+(:func:`record_block`), and the driver concatenates the build's files into
+one ``lineage_<ms>.parquet`` table and removes the staging directory at the
+end of the build (:func:`flush_lineage`, FIXTURES.md §5 schema).  Overhead
+is one small file per *block*, not per row.  No process holds records
+between builds, so a build that raises cannot leave records for another
+build's table, and a cluster runs no extra process for lineage.
 """
 
 from __future__ import annotations
 
+import glob
 import os
+import shutil
 import time
+import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray
 
 SCHEMA = pa.schema([
     ("stage", pa.string()),
@@ -28,57 +34,43 @@ SCHEMA = pa.schema([
 ])
 
 
-@ray.remote(num_cpus=0)
-class LineageActor:
-    def __init__(self):
-        self.records: list[tuple] = []
-
-    def append(self, records: list[tuple]) -> None:
-        self.records.extend(records)
-
-    def drain(self) -> list[tuple]:
-        out, self.records = self.records, []
-        return out
+def get_lineage_actor(workdir: str) -> str:
+    """Create this build's lineage staging directory under
+    ``<workdir>/lineage`` and return its path, the sink
+    :func:`record_block` writes to.  (The name dates from when records
+    went to a named actor; the benchmark's spans patch it by name.)"""
+    sink = os.path.join(workdir, "lineage", "_staging-" + uuid.uuid4().hex)
+    os.makedirs(sink)
+    return sink
 
 
-_ACTOR_NAME = "wsner_lineage"
+def record_block(sink: str, stage: str, partition_key: str,
+                 fingerprint: str, rows_in: int, rows_out: int,
+                 wall_ms: float, attempt: int = 0) -> None:
+    """Write one block's record as a one-row Parquet file in ``sink``.
+    The file is renamed into place, so a reader never sees half of it."""
+    table = pa.table([[stage], [partition_key], [fingerprint],
+                      [int(rows_in)], [int(rows_out)], [float(wall_ms)],
+                      [int(attempt)]], schema=SCHEMA)
+    path = os.path.join(sink, uuid.uuid4().hex)
+    pq.write_table(table, path + ".tmp")
+    os.replace(path + ".tmp", path + ".parquet")
 
 
-def get_lineage_actor():
-    """Get or create the session-wide lineage actor."""
-    try:
-        return ray.get_actor(_ACTOR_NAME)
-    except ValueError:
-        try:
-            return LineageActor.options(name=_ACTOR_NAME,
-                                        lifetime="detached").remote()
-        except ValueError:
-            return ray.get_actor(_ACTOR_NAME)
-
-
-def record_block(actor, stage: str, partition_key: str, fingerprint: str,
-                 rows_in: int, rows_out: int, wall_ms: float,
-                 attempt: int = 0) -> None:
-    if actor is None:
-        return
-    actor.append.remote([(stage, partition_key, fingerprint,
-                          int(rows_in), int(rows_out), float(wall_ms),
-                          int(attempt))])
-
-
-def flush_lineage(actor, out_dir: str) -> str | None:
-    """Drain the actor and append a Parquet part file under ``out_dir``."""
-    if actor is None:
-        return None
-    records = ray.get(actor.drain.remote())
-    if not records:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    cols = list(zip(*records))
-    table = pa.table({f.name: pa.array(list(c), f.type)
-                      for f, c in zip(SCHEMA, cols)})
-    path = os.path.join(out_dir, "lineage_%d.parquet" % int(time.time() * 1e3))
-    pq.write_table(table, path)
+def flush_lineage(sink: str, out_dir: str) -> str | None:
+    """Concatenate the records in the staging directory ``sink`` into one
+    Parquet table under ``out_dir`` and remove ``sink``.  Returns the
+    table's path, or None when no block wrote a record."""
+    files = sorted(glob.glob(os.path.join(sink, "*.parquet")))
+    path = None
+    if files:
+        table = pa.concat_tables(pq.read_table(f, schema=SCHEMA)
+                                 for f in files)
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir,
+                            "lineage_%d.parquet" % int(time.time() * 1e3))
+        pq.write_table(table, path)
+    shutil.rmtree(sink, ignore_errors=True)
     return path
 
 
