@@ -44,14 +44,9 @@ def _clear_memos():
     """Empty the per-process memos of ``pipelines.ops`` (the list the
     perfbench catalogue checks is cold), so an op timed after another that
     filled a memo, such as ``unigram_lm_score`` after ``corpus_curate``,
-    still does its own work.  Cached GraphShard actors are killed, not
-    left running."""
-    import ray
+    still does its own work."""
     from perfbench.catalogue import MEMOS
     from weak_supervision_for_ner_ray.pipelines import ops
-    for shards, _n in ops._GRAPH_SHARDS_CACHE.values():
-        for actor in shards:
-            ray.kill(actor)
     for name in MEMOS:
         getattr(ops, name).clear()
 
@@ -204,8 +199,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         "queries": timings,
         "kg_runs": kg_runs,
         # Pregel exchange accounting: total (node, value) int64 message
-        # pairs the pinned-graph iterations moved (edges load once and
-        # never re-shuffle — see stages/graph_actors.py)
+        # pairs the pinned-graph iterations moved (edges are partitioned
+        # once and never re-shuffle — see stages/graph.py)
         "graph_exchange_rows": dict(ops._LAST_GRAPH_EXCHANGE),
         "sf": os.path.basename(os.path.normpath(sf_dir)),
         "num_cpus": num_cpus,

@@ -31,6 +31,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from ..stages import graph
+
 
 def read_table(sf_dir: str, name: str, columns=None):
     return rd.read_parquet(os.path.join(sf_dir, f"{name}.parquet"),
@@ -694,20 +696,19 @@ def dedup_clusters(sf_dir: str, max_iters: int = 64):
     pair generation in a real dedup pipeline, where "keep one per
     cluster" needs the transitive closure, not just pairs.
 
-    Pregel shape (pinned graph, message-only iteration — the
-    :class:`~..stages.graph_actors.GraphShard` machinery shared with
-    :func:`pagerank` / :func:`bfs_hops`): the pair edges load ONCE into
-    hash(src)-partitioned shard actors; round 0 floods every node's own
-    id, and afterwards only nodes whose label DECREASED re-flood their
-    LOCAL edges — messages are (node, lbl) int64 pairs, pre-combined
-    (min per destination) inside the producing shard and routed
-    point-to-point, so both compute and exchange are bounded by the
-    changing frontier.  A dataset-groupby formulation paid ~2 s of
-    fixed barrier per iteration regardless of graph size; actor rounds
-    are millisecond RPCs, and labels are monotone mins, so the result
-    is identical for any shard count.  The fixpoint is "no messages
-    pending".  The SQL oracle computes the same components with a
-    recursive CTE.
+    Pregel shape (pinned graph, message-only iteration on stateless
+    tasks — :mod:`~..stages.graph`, shared with :func:`pagerank` /
+    :func:`bfs_hops`): the pair edges are partitioned ONCE by
+    hash(src); round 0 floods every node's own id, and afterwards only
+    nodes whose label DECREASED re-flood their LOCAL edges — messages
+    are (node, lbl) int64 pairs, pre-combined (min per destination)
+    inside the producing shard and routed point-to-point, so both
+    compute and exchange are bounded by the changing frontier.  A
+    dataset-groupby formulation paid ~2 s of fixed barrier per
+    iteration regardless of graph size; labels are monotone mins, so
+    the result is identical for any shard count.  The fixpoint is "no
+    messages pending".  The SQL oracle computes the same components
+    with a recursive CTE.
 
     The result (a tiny table — only docs inside dup clusters) is memoised
     per process keyed on the documents fingerprint, because downstream
@@ -735,48 +736,11 @@ def dedup_clusters(sf_dir: str, max_iters: int = 64):
 
     edges = pairs.map_batches(edge_rows, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
-    shards, n_shards = _shard_pool(
-        edges, ("cshards", os.path.abspath(sf_dir),
-                _table_fingerprint(sf_dir, "documents")))
-
-    inits = [s.cc_init.options(num_returns=n_shards + 1).remote()
-             for s in shards]
-    pending: dict[int, list] = {}
-    stats = ray.get([r[n_shards] if n_shards > 1 else r[1]
-                     for r in inits])
-    for j, st in enumerate(stats):
-        for t in range(n_shards):
-            if st[1 + t] > 0:
-                pending.setdefault(t, []).append(inits[j][t])
-    rounds = 0
-    while pending:
-        if rounds >= max_iters:
-            # unconverged labels are WRONG (they disagree with the
-            # connected-components oracle), so fail loudly instead of
-            # returning them
-            raise RuntimeError(
-                f"dedup_clusters: label propagation did not converge "
-                f"within {max_iters} iterations; the duplicate graph "
-                f"has a component with diameter > {max_iters} — rerun "
-                f"with a higher max_iters")
-        rounds += 1
-        outs, stat_refs = {}, {}
-        for j, mlist in pending.items():
-            res = shards[j].cc_flood.options(
-                num_returns=n_shards + 1).remote(*mlist)
-            outs[j] = res[:n_shards]
-            stat_refs[j] = res[n_shards]
-        stats = ray.get(list(stat_refs.values()))
-        pending = {}
-        for j, st in zip(stat_refs.keys(), stats):
-            for t in range(n_shards):
-                if st[1 + t] > 0:
-                    pending.setdefault(t, []).append(outs[j][t])
-    _LAST_GRAPH_EXCHANGE["dedup_clusters"] = int(sum(
-        ray.get([s.exchange_rows.remote() for s in shards])))
-
-    tbl = _to_arrow(rd.from_arrow_refs(
-        [s.cc_collect.remote() for s in shards]).sort("doc_id"))
+    parts = graph.partitions(edges, _n_shards())
+    lbls, _LAST_GRAPH_EXCHANGE["dedup_clusters"] = graph.min_propagate(
+        parts, 0, None, max_iters, "dedup_clusters")
+    tbl = _to_arrow(rd.from_arrow_refs(graph.collect(
+        parts, lbls, ("doc_id", "cluster_id"))).sort("doc_id"))
     if len(_CLUSTERS_CACHE) > 8:
         _CLUSTERS_CACHE.clear()
     _CLUSTERS_CACHE[cache_key] = tbl
@@ -3573,11 +3537,9 @@ _PR_PART_OFFSET = np.int64(1) << np.int64(32)
 
 def _bipartite_edges(sf_dir: str, rows_per_group: int):
     """Materialised globally-DISTINCT undirected supplier—part edges from
-    ``lineitem``, in the shared iteration row schema (key, dst, deg, r,
-    tag, gk): per-block distinct pair keys (combiner) → ONE coarse
-    groupby dedups globally and expands both directions.  Returns
-    (edges dataset, n_groups) — n_groups keys every later exchange of
-    the same job so co-grouping holds."""
+    ``lineitem`` as (key, dst) rows, both directions of every edge:
+    per-block distinct pair keys (combiner) → ONE coarse groupby dedups
+    globally and expands both directions."""
     li = read_table(sf_dir, "lineitem", columns=["l_suppkey", "l_partkey"])
     n_rows = li.count()                       # parquet metadata, no scan
     n_groups = int(max(32, n_rows // rows_per_group))
@@ -3594,81 +3556,48 @@ def _bipartite_edges(sf_dir: str, rows_per_group: int):
             "gk": pa.array(_coarse_key(uk, n_groups), pa.int64()),
         })
 
-    # rows: key (node the row is grouped by), dst (edge target, -1 other),
-    # deg (carrier/rank rows), r (rank or contribution), tag 0=edge 1=rank
-    # 2=contribution. gk = coarse(key) precomputed so each groupby is a
-    # plain column key.
     def expand(g: dict) -> dict:
         k = np.unique(np.asarray(g["k"], np.int64))
         s = k >> np.int64(33)
         p = (k & ((np.int64(1) << np.int64(33)) - np.int64(1))) \
             + _PR_PART_OFFSET
-        src = np.concatenate([s, p])
-        dst = np.concatenate([p, s])
-        n = len(src)
-        return {"key": src, "dst": dst,
-                "deg": np.full(n, -1, np.int64),
-                "r": np.full(n, -1, np.int64),
-                "tag": np.zeros(n, np.int8),
-                "gk": _coarse_key(src, n_groups)}
+        return {"key": np.concatenate([s, p]), "dst": np.concatenate([p, s])}
 
-    edges = (li.map_batches(pair_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("gk").map_groups(expand, batch_format="numpy")
-             .materialize())
-    return edges, n_groups
+    return (li.map_batches(pair_partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .groupby("gk").map_groups(expand, batch_format="numpy")
+            .materialize())
 
 
-# pinned GraphShard pools are cached per (input, Ray session): building
-# the CSR partitions is the expensive part and pagerank/bfs/motif ops
-# all iterate over the SAME bipartite graph.  Keyed on the job id like
-# _LM_SCORE_CACHE because the pool dies with the Ray session.
-_GRAPH_SHARDS_CACHE: dict[tuple, tuple] = {}
+# partition refs of the bipartite graph pagerank/bfs_hops share, cached
+# per (input, Ray session): building the CSR partitions is the expensive
+# part.  Keyed on the job id like _LM_SCORE_CACHE because object refs die
+# with the Ray session.
+_GRAPH_SHARDS_CACHE: dict[tuple, list] = {}
 # per-op message-row counters (exchange accounting for BASELINE.md)
 _LAST_GRAPH_EXCHANGE: dict[str, int] = {}
 
 
-def _shard_pool(edges, cache_key: tuple):
-    """Persistent :class:`GraphShard` pool over a materialised
-    (key, dst) edge dataset — edges partitioned by hash(src), loaded
-    once, iterated many times (see stages/graph_actors.py for the
-    Pregel contract and the multi-node partitioned-parquet load
-    path).  Pools are cached per (input fingerprint, Ray session)."""
-    from ..stages.graph_actors import GraphShard
-    job = (ray.get_runtime_context().get_job_id()
-           if ray.is_initialized() else None)
-    key = cache_key + (job,)
-    hit = _GRAPH_SHARDS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    refs = edges.to_arrow_refs()
+def _n_shards() -> int:
     cpus = (int(ray.cluster_resources().get("CPU", 8))
             if ray.is_initialized() else 8)
-    n_shards = int(max(2, min(16, cpus // 2)))
-    shards = [GraphShard.remote(refs, i, n_shards)
-              for i in range(n_shards)]
-    ray.get([s.ready.remote() for s in shards])
-    if len(_GRAPH_SHARDS_CACHE) > 3:
-        for old, _n in _GRAPH_SHARDS_CACHE.values():
-            for a in old:
-                ray.kill(a)
-        _GRAPH_SHARDS_CACHE.clear()
-    _GRAPH_SHARDS_CACHE[key] = (shards, n_shards)
-    return shards, n_shards
+    return int(max(2, min(16, cpus // 2)))
 
 
-def _graph_shards(sf_dir: str, rows_per_group: int):
-    """Shard pool over the bipartite supplier—part graph (pagerank /
-    bfs_hops share it — the pool is built once per input)."""
+def _graph_shards(sf_dir: str, rows_per_group: int) -> list:
+    """Partition refs of the bipartite supplier—part graph (see
+    stages/graph.py for the Pregel contract), built once per input."""
     key = ("gshards", os.path.abspath(sf_dir), rows_per_group,
-           _table_fingerprint(sf_dir, "lineitem"))
-    hit = _GRAPH_SHARDS_CACHE.get(
-        key + ((ray.get_runtime_context().get_job_id()
-                if ray.is_initialized() else None),))
-    if hit is not None:
-        return hit
-    edges, _ = _bipartite_edges(sf_dir, rows_per_group)
-    return _shard_pool(edges, key)
+           _table_fingerprint(sf_dir, "lineitem"),
+           ray.get_runtime_context().get_job_id()
+           if ray.is_initialized() else None)
+    hit = _GRAPH_SHARDS_CACHE.get(key)
+    if hit is None:
+        if len(_GRAPH_SHARDS_CACHE) > 3:
+            _GRAPH_SHARDS_CACHE.clear()
+        hit = _GRAPH_SHARDS_CACHE[key] = graph.partitions(
+            _bipartite_edges(sf_dir, rows_per_group), _n_shards())
+    return hit
 
 
 def pagerank(sf_dir: str, iters: int = 3, rows_per_group: int = 5000):
@@ -3684,36 +3613,23 @@ def pagerank(sf_dir: str, iters: int = 3, rows_per_group: int = 5000):
     is undirected so there are no dangling nodes and every node receives
     ≥ 1 contribution.
 
-    Pregel shape (pinned graph, message-only iteration): the distinct
-    undirected edge table is built ONCE (per-block distinct-pair
-    combiner → one coarse groupby) and loaded into persistent
-    :class:`~..stages.graph_actors.GraphShard` actors partitioned by
-    ``hash(src)`` — each shard owns the rank + degree of its src nodes.
-    An iteration is one ``pr_scatter`` per shard (per-edge int64
-    contributions pre-SUMMED per destination node and per target shard)
-    routed point-to-point via ``num_returns`` refs into one
-    ``pr_gather`` per shard.  Edges never move after load; the
-    per-iteration exchange is bounded by unique destination nodes per
-    shard pair — (node, sum) int64 pairs, never adjacency.  int64
-    addition is associative+commutative, so ranks are bit-identical for
-    any shard count (the dataset-groupby formulation this replaced
-    re-shuffled the full edge table every iteration)."""
-    shards, n_shards = _graph_shards(sf_dir, rows_per_group)
-    ray.get([s.pr_init.remote() for s in shards])
-    for _ in range(iters):
-        outs = [s.pr_scatter.options(num_returns=n_shards).remote()
-                for s in shards]
-        if n_shards == 1:
-            routed = [[outs[0]]]
-        else:
-            routed = [[outs[i][j] for i in range(n_shards)]
-                      for j in range(n_shards)]
-        ray.get([shards[j].pr_gather.remote(*routed[j])
-                 for j in range(n_shards)])
-    _LAST_GRAPH_EXCHANGE["pagerank"] = int(sum(
-        ray.get([s.exchange_rows.remote() for s in shards])))
-    ranks = rd.from_arrow_refs(
-        [s.pr_collect.remote() for s in shards])
+    Pregel shape (pinned graph, message-only iteration on stateless
+    tasks — :mod:`~..stages.graph`): the distinct undirected edge table
+    is built ONCE (per-block distinct-pair combiner → one coarse
+    groupby) and partitioned by ``hash(src)`` — each shard owns the
+    rank + degree of its src nodes.  An iteration is one scatter task
+    per shard (per-edge int64 contributions pre-SUMMED per destination
+    node and per target shard) routed point-to-point via
+    ``num_returns`` refs into one gather task per shard.  Edges never
+    move after partitioning; the per-iteration exchange is bounded by
+    unique destination nodes per shard pair — (node, sum) int64 pairs,
+    never adjacency.  int64 addition is associative+commutative, so
+    ranks are bit-identical for any shard count (the dataset-groupby
+    formulation this replaced re-shuffled the full edge table every
+    iteration)."""
+    parts = _graph_shards(sf_dir, rows_per_group)
+    r, _LAST_GRAPH_EXCHANGE["pagerank"] = graph.pagerank(parts, iters)
+    ranks = rd.from_arrow_refs(graph.collect(parts, r, ("key", "r")))
 
     def finish(t: pa.Table) -> pa.Table:
         node = t.column("key").to_numpy(zero_copy_only=False)
@@ -4182,7 +4098,7 @@ def degree_distribution(sf_dir: str, rows_per_group: int = 5000):
     ``groupby(node).sum`` = degrees, then per-block (kind, deg, partial)
     counts → a tiny ``groupby`` over the histogram cells (bounded by the
     distinct-degree domain, not node count)."""
-    edges, _ = _bipartite_edges(sf_dir, rows_per_group)
+    edges = _bipartite_edges(sf_dir, rows_per_group)
 
     def deg_partial(t: pa.Table) -> pa.Table:
         src = t.column("key").to_numpy(zero_copy_only=False)
@@ -6246,56 +6162,25 @@ def bfs_hops(sf_dir: str, max_iters: int = 16,
     (pagerank, components, degrees, motifs, similarity).  Unreached
     nodes are absent from the output.
 
-    Pregel shape (pinned graph, message-only iteration — shared with
-    :func:`pagerank` via :func:`_graph_shards`): the graph lives in
-    persistent shard actors; a round delivers the pending (node, d)
-    frontier messages to their owning shards, each shard settles
-    first arrivals and floods ``d+1`` along its LOCAL edges,
-    pre-deduped per destination and partitioned per target shard.
-    Only shards with pending messages are called at all, so both the
-    compute AND the exchange are bounded by the moving frontier, never
-    the graph.  Synchronous rounds keep first-arrival distances
-    identical for any shard count.  The fixpoint is "no messages
-    pending"; like :func:`dedup_clusters`, exceeding ``max_iters``
-    raises instead of returning wrong hops.  The oracle replays it as
-    a depth-capped recursive CTE."""
-    from ..stages.graph_actors import shard_key
-    shards, n_shards = _graph_shards(sf_dir, rows_per_group)
+    Pregel shape (pinned graph, message-only iteration on stateless
+    tasks — shared with :func:`pagerank` via :func:`_graph_shards`, and
+    the same min-propagation kernel as :func:`dedup_clusters` with a hop
+    increment of 1): a round delivers the pending (node, d) frontier
+    messages to their owning shards, each shard settles first arrivals
+    and floods ``d+1`` along its LOCAL edges, pre-deduped per
+    destination and partitioned per target shard.  Only shards with
+    pending messages run at all, so both the compute AND the exchange
+    are bounded by the moving frontier, never the graph.  Synchronous
+    rounds keep first-arrival distances identical for any shard count.
+    The fixpoint is "no messages pending"; like :func:`dedup_clusters`,
+    exceeding ``max_iters`` raises instead of returning wrong hops.  The
+    oracle replays it as a depth-capped recursive CTE."""
+    parts = _graph_shards(sf_dir, rows_per_group)
     li = read_table(sf_dir, "lineitem", columns=["l_suppkey"])
-    src = int(li.min("l_suppkey"))
-
-    ray.get([s.bfs_init.remote() for s in shards])
-    owner = int(shard_key(np.array([src], np.int64), n_shards)[0])
-    pending = {owner: [(np.array([src], np.int64),
-                        np.array([0], np.int64))]}
-    rounds = 0
-    while pending:
-        if rounds >= max_iters:
-            raise RuntimeError(
-                f"bfs_hops: frontier still active after {max_iters} "
-                f"iterations; the graph has diameter > {max_iters} — "
-                f"rerun with a higher max_iters")
-        rounds += 1
-        outs, stat_refs = {}, {}
-        for j, mlist in pending.items():
-            res = shards[j].bfs_flood.options(
-                num_returns=n_shards + 1).remote(*mlist)
-            outs[j] = res[:n_shards]
-            stat_refs[j] = res[n_shards]
-        # only the tiny stats vectors sync through the driver; message
-        # payloads flow shard-to-shard as refs, and empty ones are
-        # never delivered
-        stats = ray.get(list(stat_refs.values()))
-        pending = {}
-        for j, st in zip(stat_refs.keys(), stats):
-            for t in range(n_shards):
-                if st[1 + t] > 0:
-                    pending.setdefault(t, []).append(outs[j][t])
-    _LAST_GRAPH_EXCHANGE["bfs_hops"] = int(sum(
-        ray.get([s.exchange_rows.remote() for s in shards])))
-
+    dist, _LAST_GRAPH_EXCHANGE["bfs_hops"] = graph.min_propagate(
+        parts, 1, int(li.min("l_suppkey")), max_iters, "bfs_hops")
     return rd.from_arrow_refs(
-        [s.bfs_collect.remote() for s in shards]).sort("node")
+        graph.collect(parts, dist, ("node", "hops"))).sort("node")
 
 
 def _levenshtein(a: str, b: str) -> int:
