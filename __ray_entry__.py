@@ -107,7 +107,7 @@ def _turns_ds(sf_dir: str):
 def _kg(sf_dir: str):
     from weak_supervision_for_ner_ray.pipelines.kg import build_kg
     return build_kg(_turns_ds(sf_dir), _workdir(sf_dir), n_iter=2,
-                    write=True, seed=42)
+                    seed=42)
 
 
 def entry() -> Any:

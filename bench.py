@@ -97,7 +97,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)   # no cached stages
         out = build_kg(rd.read_parquet(turns_path,
                                        override_num_blocks=target_blocks()),
-                       workdir, n_iter=2, write=True)
+                       workdir, n_iter=2)
         n = out["triples"].count()
         _consume(out["nodes"])
         _consume(out["edges"])
@@ -261,7 +261,7 @@ def _warm_workers(sf_dir: str):
     wd = f"/tmp/wsner_bench_warm/{os.getpid()}"
     shutil.rmtree(wd, ignore_errors=True)
     turns = rd.read_parquet(os.path.join(warm_corpus, "turns.parquet"))
-    out = build_kg(turns, wd, n_iter=1, write=False, lineage=False)
+    out = build_kg(turns, wd, n_iter=1, lineage=False)
     out["triples"].count()
     shutil.rmtree(wd, ignore_errors=True)
     # warm the page cache for the real input
@@ -292,7 +292,7 @@ def run_kg_only(sf_dir: str, num_cpus: int) -> dict:
     t0 = time.time()
     out = build_kg(rd.read_parquet(turns_path,
                                    override_num_blocks=target_blocks()),
-                   workdir, n_iter=n_iter, write=True)
+                   workdir, n_iter=n_iter)
     n_triples = out["triples"].count()
     _consume(out["nodes"])
     _consume(out["edges"])

@@ -57,8 +57,7 @@ def main() -> int:
 
     t0 = time.time()
     turns = rd.read_parquet(args.input, override_num_blocks=target_blocks())
-    out = build_kg(turns, args.workdir, n_iter=args.n_iter, seed=args.seed,
-                   write=True)
+    out = build_kg(turns, args.workdir, n_iter=args.n_iter, seed=args.seed)
     summary = {
         "triples": out["triples"].count(),
         "nodes": out["nodes"].count(),

@@ -1,10 +1,10 @@
 """Row-sized block planning and the block-local graph counts."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray
-import ray.data as rd
 
 from weak_supervision_for_ner_ray.stages import util
 
@@ -33,34 +33,60 @@ def test_blocks_for_rows(cpus):
             assert util.blocks_for_rows(rows) >= n
 
 
-def _triples(rows: list[tuple]) -> pa.Table:
+def _decoded(rows: list[tuple]) -> pa.Table:
+    """Triple rows (kind "t") in the decoded table's schema, each followed
+    by a ner row (kind "n") that the graph read must filter out."""
+    from weak_supervision_for_ner_ray.stages.kg import DECODED_SCHEMA
     cols = ("subj", "subj_label", "pred", "obj", "obj_label", "subj_id",
             "obj_id")
-    return pa.table({c: pa.array([r[i] for r in rows], pa.string())
-                     for i, c in enumerate(cols)})
+    out = {c: [] for c in DECODED_SCHEMA.names}
+    for r in rows:
+        for kind in ("t", "n"):
+            for c in out:
+                out[c].append(None)
+            out["kind"][-1] = kind
+            out["conv_id"][-1] = "c"
+            if kind == "t":
+                for c, v in zip(cols, r):
+                    out[c][-1] = v
+            else:
+                out["label"][-1] = "PERSON"
+    return pa.table(out, schema=DECODED_SCHEMA)
 
 
-def test_graph_tables_counts_keys_spread_over_blocks(ray_session):
-    """A node key and an edge key with rows in every one of 8 input blocks
-    are counted once each, and every count equals a pyarrow ``group_by``
-    over the whole triples table."""
+def test_graph_tables_counts_keys_spread_over_blocks(ray_session, tmp_path):
+    """A node key and an edge key with rows in every one of 8 decoded
+    part files are counted once each, every count equals a pyarrow
+    ``group_by`` over the whole triples table, and at 4 cpus (the test
+    session's) the tables come back from at least 3 part files in global
+    key order."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
     from weak_supervision_for_ner_ray.pipelines.kg import graph_tables
 
     hot = ("Maria Jensen", "PERSON", "works_for", "Acme Corp", "COMPANY",
            "PERSON:maria jensen", "COMPANY:acme corp")
     blocks = []
+    os.makedirs(tmp_path / "decoded")
     for b in range(8):
         rows = [hot] * (b + 1)
         for i in range(40):
             j = (7 * b + i) % 23
             rows.append((f"P{j}", "PERSON", ("met", "visited")[i % 2],
                          f"O{i % 5}", "GPE", f"PERSON:p{j}", f"GPE:o{i % 5}"))
-        blocks.append(_triples(rows))
+        blocks.append(_decoded(rows))
+        pq.write_table(blocks[-1],
+                       tmp_path / "decoded" / f"part-{b}.parquet")
     whole = pa.concat_tables(blocks)
-    ds = rd.from_arrow(blocks)
-    assert ds.num_blocks() >= 7
+    whole = whole.filter(pc.equal(whole["kind"], "t"))
 
-    nodes, edges = graph_tables(ds)
+    nodes, edges = graph_tables(str(tmp_path), "s")
+    parts = [f for t in ("nodes", "edges")
+             for f in glob.glob(str(tmp_path / t / "part-*.parquet"))]
+    assert len(parts) >= 3
     nodes = pa.concat_tables(ray.get(nodes.to_arrow_refs()))
     edges = pa.concat_tables(ray.get(edges.to_arrow_refs()))
 
@@ -83,6 +109,7 @@ def test_graph_tables_counts_keys_spread_over_blocks(ray_session):
     assert rows_of(edges, ["src_id", "pred", "dst_id", "weight"]) == [
         (s, p, d, float(n)) for s, p, d, n in
         rows_of(exp_edges, ["subj_id", "pred", "obj_id", "count_all"])]
+    # the reads hand the part files back in global key order
     ids = nodes["entity_id"].to_pylist()
     assert ids == sorted(ids) and len(ids) == len(set(ids))
     keys = list(zip(edges["src_id"].to_pylist(), edges["pred"].to_pylist()))

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -115,7 +117,7 @@ def test_hmm_beats_or_matches_majority_vote(ray_session, small_corpus,
     turns, gold_spans, _ = small_corpus
     wd = str(tmp_path_factory.mktemp("evalkg"))
     ds = rd.from_arrow(turns)
-    out = build_kg(ds, wd, n_iter=2, write=False)
+    out = build_kg(ds, wd, n_iter=2)
     hmm_res = evaluate_ner(out["ner"], gold_spans)
     mv = majority_vote_table(ds, wd)
     mv_res = evaluate_ner(mv, gold_spans)
@@ -128,12 +130,21 @@ def test_lineage_records_written(ray_session, small_corpus,
                                  tmp_path_factory):
     turns, _, _ = small_corpus
     wd = str(tmp_path_factory.mktemp("lineage"))
-    build_kg(rd.from_arrow(turns), wd, n_iter=1, write=True, lineage=True)
+    build_kg(rd.from_arrow(turns), wd, n_iter=1, lineage=True)
     lin_dir = os.path.join(wd, "lineage")
     assert os.path.isdir(lin_dir) and os.listdir(lin_dir)
     lin = to_arrow(rd.read_parquet(lin_dir))
     stages = set(lin.column("stage").to_pylist())
     assert "encode_obs" in stages and "decode_triples" in stages
+    # the graph count stage records too: the table is flushed after it
+    assert stages == {"encode_obs", "decode_triples", "graph_tables"}
+    graph = lin.filter(pc.equal(lin.column("stage"),
+                                        "graph_tables"))
+    nodes = pq.read_table(os.path.join(wd, "nodes"))
+    edges = pq.read_table(os.path.join(wd, "edges"))
+    # one record per counted sort range: its output rows are the keys
+    assert sum(graph.column("rows_out").to_pylist()) == \
+        nodes.num_rows + edges.num_rows
     assert all(r > 0 for r in lin.column("rows_in").to_pylist())
     assert all(w >= 0 for w in lin.column("wall_ms").to_pylist())
 
@@ -152,8 +163,16 @@ def test_failed_build_leaves_no_lineage_for_the_next(ray_session,
     from weak_supervision_for_ner_ray.pipelines import kg
 
     def lineage_keys(wd):
+        """Partition keys of the conversation-keyed stages (a graph count
+        block is keyed by the kind of its first key, "e" or "n")."""
         lin = to_arrow(rd.read_parquet(os.path.join(wd, "lineage")))
-        return lin.column("partition_key").to_pylist()
+        stages = lin.column("stage").to_pylist()
+        return [k for k, s in zip(lin.column("partition_key").to_pylist(),
+                                  stages) if s != "graph_tables"]
+
+    def lineage_stages(wd):
+        lin = to_arrow(rd.read_parquet(os.path.join(wd, "lineage")))
+        return set(lin.column("stage").to_pylist())
 
     turns1, _, _ = small_corpus
     turns2, _, _ = generate_corpus(6, seed=29)
@@ -168,14 +187,15 @@ def test_failed_build_leaves_no_lineage_for_the_next(ray_session,
     with monkeypatch.context() as m:
         m.setattr(kg, "train_hmm_sharded", em_fails)
         with pytest.raises(RuntimeError, match="EM failed"):
-            build_kg(rd.from_arrow(turns1), wd1, n_iter=1, write=True,
-                     lineage=True)
+            build_kg(rd.from_arrow(turns1), wd1, n_iter=1, lineage=True)
     wd2 = str(tmp_path_factory.mktemp("lineage_next"))
-    build_kg(rd.from_arrow(turns2), wd2, n_iter=1, write=True, lineage=True)
+    build_kg(rd.from_arrow(turns2), wd2, n_iter=1, lineage=True)
     keys2 = lineage_keys(wd2)
     assert keys2 and set(keys2) <= set(conv2)
     keys1 = lineage_keys(wd1)
     assert keys1 and set(keys1) <= set(turns1.column("conv_id").to_pylist())
+    assert "graph_tables" in lineage_stages(wd2)
+    assert "graph_tables" not in lineage_stages(wd1)
     assert not [d for d in os.listdir(os.path.join(wd1, "lineage"))
                 if d.startswith("_staging")]
 

@@ -85,7 +85,7 @@ def test_kg_triples_match_oracle_and_gold(ray_session, small_corpus,
                                           tmp_path_factory):
     turns, gold_spans, gold_triples = small_corpus
     workdir = str(tmp_path_factory.mktemp("kg"))
-    out = build_kg(_dataset(small_corpus), workdir, n_iter=2, write=False)
+    out = build_kg(_dataset(small_corpus), workdir, n_iter=2)
     got = to_arrow(out["triples"])
     got_set = set(zip(got["conv_id"].to_pylist(),
                       got["turn_idx"].to_pylist(),
@@ -116,7 +116,7 @@ def test_kg_triples_match_oracle_and_gold(ray_session, small_corpus,
 
 def test_graph_tables(ray_session, small_corpus, tmp_path_factory):
     workdir = str(tmp_path_factory.mktemp("kg2"))
-    out = build_kg(_dataset(small_corpus), workdir, n_iter=1, write=True)
+    out = build_kg(_dataset(small_corpus), workdir, n_iter=1)
     nodes = to_arrow(out["nodes"])
     edges = to_arrow(out["edges"])
     assert nodes.num_rows > 0 and edges.num_rows > 0
@@ -195,8 +195,7 @@ def test_partitioning_invariance(ray_session, small_corpus,
     for nblocks in (1, 7, 16):
         wd = str(tmp_path_factory.mktemp(f"det_{nblocks}"))
         ds = rd.from_arrow(turns).repartition(nblocks)
-        out = build_kg(ds, wd, n_iter=2, write=False, seed=42,
-                       lineage=False)
+        out = build_kg(ds, wd, n_iter=2, seed=42, lineage=False)
         runs.append((nblocks, out["params"],
                      {k: _sorted_frame(out[k])
                       for k in ("ner", "triples", "nodes", "edges")}))
@@ -235,8 +234,7 @@ def test_edge_case_turns_flow_through(ray_session, tmp_path_factory):
         "text": pa.array(texts),
     })
     wd = str(tmp_path_factory.mktemp("edge"))
-    out = build_kg(rd.from_arrow(turns), wd, n_iter=1, write=False,
-                   lineage=False)
+    out = build_kg(rd.from_arrow(turns), wd, n_iter=1, lineage=False)
     ner = to_arrow(out["ner"]) if out["ner"].count() else None
     # the control turn still produces a PERSON mention
     assert ner is not None
@@ -266,8 +264,7 @@ def test_null_text_is_an_empty_turn(ray_session, tmp_path_factory):
     nulls = {(conv0, last + 1), ("null-conv", 0)}
 
     wd = str(tmp_path_factory.mktemp("null_text"))
-    out = build_kg(rd.from_arrow(turns), wd, n_iter=1, write=False,
-                   lineage=False)
+    out = build_kg(rd.from_arrow(turns), wd, n_iter=1, lineage=False)
     annotated = to_arrow(out["annotated"])
     keyed = {(c, t): (x, n) for c, t, x, n in zip(
         annotated["conv_id"].to_pylist(), annotated["turn_idx"].to_pylist(),
@@ -292,3 +289,48 @@ def test_null_text_is_an_empty_turn(ray_session, tmp_path_factory):
     rows, _ = Oracle().triples(turns, n_iter=1)
     assert got_set == {(ci, ti, s, p, o)
                        for (ci, ti, s, sl, p, o, ol, sid, oid, c) in rows}
+
+
+def _graph_free_build(texts, wd):
+    """build_kg over one-turn conversations: {table: (rows, schema)}."""
+    turns = pa.table({
+        "conv_id": pa.array([f"c{i}" for i in range(len(texts))]),
+        "turn_idx": pa.array([0] * len(texts), pa.int32()),
+        "role": pa.array(["user"] * len(texts)),
+        "text": pa.array(texts),
+    })
+    out = build_kg(rd.from_arrow(turns), wd, n_iter=1, lineage=False)
+    return {k: (out[k].count(), out[k].schema().base_schema)
+            for k in ("ner", "triples", "nodes", "edges")}
+
+
+def test_build_kg_without_triples_gives_empty_graph_tables(ray_session,
+                                                            tmp_path):
+    """Turns with entities but no relation decode ner spans and no
+    triple: the build returns empty nodes and edges with their schemas
+    (no Ray write task had a row to write)."""
+    from weak_supervision_for_ner_ray.pipelines.kg import (EDGES_SCHEMA,
+                                                           NODES_SCHEMA)
+    got = _graph_free_build(["Maria Jensen called .", "Hello Maria Jensen .",
+                             "Maria Jensen ?"], str(tmp_path))
+    assert got["ner"][0] > 0
+    assert got["triples"][0] == 0
+    assert got["nodes"] == (0, NODES_SCHEMA)
+    assert got["edges"] == (0, EDGES_SCHEMA)
+
+
+def test_build_kg_without_entities_gives_empty_tables(ray_session,
+                                                      tmp_path):
+    """Turns with no entity decode to nothing at all: the build returns
+    empty ner, triples, nodes and edges with their schemas."""
+    from weak_supervision_for_ner_ray.pipelines.kg import (EDGES_SCHEMA,
+                                                           NER_COLUMNS,
+                                                           NODES_SCHEMA,
+                                                           TRIPLE_COLUMNS)
+    got = _graph_free_build(["hello there .", "ok , thanks .",
+                             "see you soon ."], str(tmp_path))
+    assert all(n == 0 for n, _ in got.values())
+    assert got["ner"][1].names == NER_COLUMNS
+    assert got["triples"][1].names == TRIPLE_COLUMNS
+    assert got["nodes"] == (0, NODES_SCHEMA)
+    assert got["edges"] == (0, EDGES_SCHEMA)

@@ -65,7 +65,38 @@ def test_checkpoint_files_layout(ray_session, small_corpus,
     files = sorted(os.listdir(os.path.join(wd, "checkpoints")))
     assert "em_iter_000.npz" in files
     assert "em_iter_002.npz" in files or "em_iter_001.npz" in files
-    assert "em_meta.json" in files
+    # each iteration's file holds the history and done flag that
+    # em_meta.json used to hold; no shared file is rewritten per save
+    assert "em_meta.json" not in files
+    assert files == [f"em_iter_{i:03d}.npz" for i in range(len(files))]
+    for i, name in enumerate(files):
+        with np.load(os.path.join(wd, "checkpoints", name)) as z:
+            assert len(z["history"]) == i and z["done"].dtype == bool
+    it, _, history, _ = CheckpointStore(wd).latest()
+    assert it == len(files) - 1 and len(history) == it
+
+
+def test_resume_ignores_a_leftover_tmp_checkpoint(ray_session, small_corpus,
+                                                  tmp_path_factory):
+    """A save killed before its rename leaves ``em_iter_k.npz.tmp``: the
+    resume starts from the last complete iteration and gives the
+    uninterrupted run's params."""
+    turns, _, _ = small_corpus
+    wd_a = str(tmp_path_factory.mktemp("tmp_a"))
+    wd_b = str(tmp_path_factory.mktemp("tmp_b"))
+    p_full = train_hmm_sharded(write_obs(rd.from_arrow(turns), wd_a), wd_a,
+                               n_iter=3, seed=7)
+
+    obs_b = write_obs(rd.from_arrow(turns), wd_b)
+    train_hmm_sharded(obs_b, wd_b, n_iter=1, seed=7)
+    ckpt = os.path.join(wd_b, "checkpoints")
+    with open(os.path.join(ckpt, "em_iter_002.npz.tmp"), "wb") as fd:
+        fd.write(b"half a checkpoint")
+    it, _, history, done = CheckpointStore(wd_b).latest()
+    assert (it, len(history), done) == (1, 1, False)
+    _assert_same_params(p_full, train_hmm_sharded(obs_b, wd_b, n_iter=3,
+                                                  seed=7))
+    assert "em_iter_003.npz" in os.listdir(ckpt)
 
 
 def test_build_kg_resume_matches_fresh_run(ray_session, small_corpus,
@@ -111,6 +142,46 @@ def test_build_kg_ignores_parts_of_a_killed_obs_write(ray_session,
                          columns=["turn_idx"]).num_rows == turns.num_rows
     assert _rows(rerun["triples"], TRIPLE_COLS) == \
         _rows(clean["triples"], TRIPLE_COLS)
+
+
+def _ordered_rows(ds, cols):
+    tables = [ray.get(r) for r in ds.to_arrow_refs()]
+    return [row for t in tables if t.num_rows
+            for row in zip(*(t.column(c).to_pylist() for c in cols))]
+
+
+NODE_COLS = ["entity_id", "canonical", "label", "n_mentions"]
+EDGE_COLS = ["src_id", "pred", "dst_id", "weight"]
+
+
+def test_build_kg_ignores_parts_of_a_killed_graph_write(ray_session,
+                                                        small_corpus,
+                                                        tmp_path_factory):
+    """A run killed mid-way through the graph write leaves some part files
+    in ``nodes`` and ``edges``, a stray one among them, and no
+    ``_SUCCESS``; the rerun reproduces the uninterrupted nodes and edges
+    exactly, row order included."""
+    turns, _, _ = small_corpus
+    wd_clean = str(tmp_path_factory.mktemp("graph_clean"))
+    wd_killed = str(tmp_path_factory.mktemp("graph_killed"))
+
+    clean = build_kg(rd.from_arrow(turns), wd_clean, n_iter=2)
+    shutil.copytree(wd_clean, wd_killed, dirs_exist_ok=True)
+    for table in ("nodes", "edges"):
+        path = os.path.join(wd_killed, table)
+        os.remove(os.path.join(path, "_SUCCESS"))
+        parts = sorted(glob.glob(os.path.join(path, "*.parquet")))
+        for part in parts[1:]:
+            os.remove(part)
+        shutil.copy(parts[0], os.path.join(path, "part-999999.parquet"))
+
+    rerun = build_kg(rd.from_arrow(turns), wd_killed, n_iter=2)
+    assert _ordered_rows(rerun["nodes"], NODE_COLS) == \
+        _ordered_rows(clean["nodes"], NODE_COLS)
+    assert _ordered_rows(rerun["edges"], EDGE_COLS) == \
+        _ordered_rows(clean["edges"], EDGE_COLS)
+    assert not os.path.exists(os.path.join(wd_killed, "nodes",
+                                           "part-999999.parquet"))
 
 
 def test_kg_workdir_keyed_by_code_and_corpus(tmp_path, monkeypatch):

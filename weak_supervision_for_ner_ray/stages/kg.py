@@ -171,6 +171,15 @@ def make_majority_vote_fn(nb_sources_threshold: int = 10):
 
 _CACHE_CAP = 200_000
 
+# the fused decode stage's output: ``ner`` span rows (kind "n") and triple
+# rows (kind "t") in one table, each kind leaving the other's columns null
+DECODED_SCHEMA = pa.schema(
+    [("kind", pa.string()), ("conv_id", pa.string()),
+     ("turn_idx", pa.int32()), ("start", pa.int32()), ("end", pa.int32()),
+     ("label", pa.string()), ("conf", pa.float32())]
+    + [(k, pa.string()) for k in ("subj", "subj_label", "pred", "obj",
+                                  "obj_label", "subj_id", "obj_id")])
+
 
 def _row_key(rows: ObsRows, i: int) -> bytes:
     """Exact observation-pattern key for one obs row (raw bytes, no hash —
@@ -291,16 +300,9 @@ def decode_triple_batch(params, index, batch: pa.Table, decode_memo: dict,
                             (subj, sl, pred, obj, ol, sid, oid)):
                 t_cols[k].append(v)
 
-    return pa.table({
-        "kind": pa.array(kind, pa.string()),
-        "conv_id": pa.array(conv, pa.string()),
-        "turn_idx": pa.array(turn, pa.int32()),
-        "start": pa.array(start, pa.int32()),
-        "end": pa.array(end, pa.int32()),
-        "label": pa.array(label, pa.string()),
-        "conf": pa.array(conf, pa.float32()),
-        **{k: pa.array(v, pa.string()) for k, v in t_cols.items()},
-    })
+    return pa.table({"kind": kind, "conv_id": conv, "turn_idx": turn,
+                     "start": start, "end": end, "label": label,
+                     "conf": conf, **t_cols}, schema=DECODED_SCHEMA)
 
 
 def extract_triples_for_turn(doc, spans, index: AliasIndex):

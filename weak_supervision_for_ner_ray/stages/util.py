@@ -47,9 +47,10 @@ def cached_from_ref(ref, builder=None, key_extra: str = ""):
 
 
 def with_lineage(fn, stage_name: str, sink):
-    """Wrap a batch fn so every block writes one lineage record into the
-    build's staging directory ``sink`` (``state.lineage``); no-op when
-    ``sink`` is None."""
+    """Wrap a batch fn so every non-empty block writes one lineage record
+    into the build's staging directory ``sink`` (``state.lineage``); no-op
+    when ``sink`` is None.  (An empty block is no partition of the data:
+    a sort range can come out empty.)"""
     if sink is None:
         return fn
     import time
@@ -59,6 +60,8 @@ def with_lineage(fn, stage_name: str, sink):
     def wrapped(batch):
         t0 = time.time()
         out = fn(batch)
+        if not batch.num_rows:
+            return out
         fp = block_fingerprint(batch)
         partition_key = fp.split(":")[1] if ":" in fp else fp
         record_block(sink, stage_name, partition_key, fp,

@@ -100,22 +100,28 @@ class HMMParams:
             h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()[:16]
 
-    def save(self, path: str) -> None:
+    def save(self, file, **extra) -> None:
+        """Write the parameters, plus any ``extra`` arrays, as one npz to
+        ``file`` (a path or a binary file object)."""
         # uncompressed: EM checkpoints every iteration, and deflating the
         # prior tensors costs ~6x the write for a ~12x smaller file
         np.savez(
-            path, startprob=self.startprob, transmat=self.transmat,
+            file, startprob=self.startprob, transmat=self.transmat,
             emission_probs=self.emission_probs,
             startprob_prior=self.startprob_prior,
             transmat_prior=self.transmat_prior,
-            emission_priors=self.emission_priors, keep=self.keep)
+            emission_priors=self.emission_priors, keep=self.keep, **extra)
 
     @classmethod
-    def load(cls, path: str) -> "HMMParams":
-        z = np.load(path)
+    def from_npz(cls, z) -> "HMMParams":
         return cls(z["startprob"], z["transmat"], z["emission_probs"],
                    z["startprob_prior"], z["transmat_prior"],
                    z["emission_priors"], z["keep"])
+
+    @classmethod
+    def load(cls, path: str) -> "HMMParams":
+        with np.load(path) as z:
+            return cls.from_npz(z)
 
 
 def _predecessor_groups(transmat: np.ndarray, log_trans: np.ndarray):
