@@ -1,5 +1,5 @@
 """EM shard tasks: dedup + kernel parity vs the sequential per-turn path,
-streaming mode, pass identity, worker loss and no actors."""
+the shard byte budget, pass identity, worker loss and no actors."""
 
 import os
 import signal
@@ -139,29 +139,41 @@ def test_weighted_accumulate_equals_repeated():
     assert np.abs(s_rep.trans - s_w.trans).max() < 1e-9
 
 
-def test_emshard_streaming_mode_parity(ray_session, tmp_path, monkeypatch):
-    """A shard over budget streams row groups per pass and produces the
-    identical partial as the whole-shard path."""
+def test_make_shards_splits_shards_over_the_byte_budget(ray_session,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """With a byte budget that one shard cannot hold, make_shards cuts
+    more shards until every shard's footer bytes fit, and the E-step and
+    init counts merged over them equal the one-shard results."""
+    from weak_supervision_for_ner_ray.stages import em_actors
+
     tbl = _obs_table(seed=21, n_turns=80)
     f = str(tmp_path / "obs.parquet")
     pq.write_table(tbl, f, row_group_size=16)
+    md = pq.ParquetFile(f).metadata
+    rg_bytes = [md.row_group(i).total_byte_size
+                for i in range(md.num_row_groups)]
     p = _params()
 
-    [resident] = make_shards([f], 1)
-    monkeypatch.setenv("GRAFT_EM_SHARD_MAX_BYTES", "1")   # must stream
-    [streaming] = make_shards([f], 1)
-    assert not resident.streaming and streaming.streaming
-    assert ray.get(streaming.n_turns.remote()) == tbl.num_rows
+    [whole] = make_shards([f], 1)
+    monkeypatch.setattr(em_actors, "SHARD_MAX_BYTES",
+                        max(rg_bytes) + min(rg_bytes) // 2)
+    split = make_shards([f], 1)
+    assert len(split) > 1
+    for shard in split:
+        assert sum(rg_bytes[rg] for _, rgs in shard.units
+                   for rg in rgs) <= em_actors.SHARD_MAX_BYTES
+    assert sum(ray.get(s.n_turns.remote()) for s in split) == tbl.num_rows
 
-    a = shard_estep([resident], p)
-    b = shard_estep([streaming], p)
+    a = shard_estep([whole], p)
+    b = shard_estep(split, p)
     assert a.n_seqs == b.n_seqs
     assert abs(a.logprob - b.logprob) < 1e-8
     assert np.abs(a.obs - b.obs).max() < 1e-9
     assert np.abs(a.trans - b.trans).max() < 1e-9
 
-    ia = shard_init_counts([resident])
-    ib = shard_init_counts([streaming])
+    ia = shard_init_counts([whole])
+    ib = shard_init_counts(split)
     for x, y in zip(ia, ib):
         assert np.abs(x - y).max() < 1e-9
 

@@ -224,13 +224,23 @@ def test_snorkel_label_model_vs_majority_vote(ray_session, small_corpus,
 
 
 def _same_ner(a: pa.Table, b: pa.Table) -> None:
-    """Equal spans and labels; confidences equal up to the float order of
-    the per-block E-step sums."""
+    """Equal spans, labels and confidences."""
     keys = [(c, "ascending") for c in ("conv_id", "turn_idx", "start", "end")]
-    a, b = a.sort_by(keys), b.sort_by(keys)
-    assert a.drop(["conf"]).equals(b.drop(["conf"]))
-    np.testing.assert_allclose(a.column("conf").to_numpy(),
-                               b.column("conf").to_numpy(), atol=1e-6)
+    assert a.sort_by(keys).equals(b.sort_by(keys))
+
+
+def _label_model(wd):
+    """(iteration, params, history, done) of the label model's latest
+    checkpoint in ``wd``."""
+    from weak_supervision_for_ner_ray.state.checkpoints import CheckpointStore
+    from weak_supervision_for_ner_ray.state.labelmodel import (
+        LabelModelParams)
+    return CheckpointStore(wd, "lm", LabelModelParams).latest()
+
+
+def _same_params(a, b) -> None:
+    assert np.array_equal(a.prior, b.prior)
+    assert np.array_equal(a.conf, b.conf)
 
 
 def test_snorkel_rerun_with_more_iterations_retrains(ray_session,
@@ -249,21 +259,138 @@ def test_snorkel_rerun_with_more_iterations_retrains(ray_session,
     _same_ner(rerun, fresh)
 
 
-def test_snorkel_truncated_label_model_is_retrained(ray_session,
-                                                    small_corpus,
-                                                    tmp_path_factory):
-    """A ``labelmodel.npz`` cut short (a kill mid-write under the old
-    in-place save) is retrained, not a crash on every later rerun."""
+def test_snorkel_ignores_a_leftover_tmp_label_model_checkpoint(
+        ray_session, small_corpus, tmp_path_factory):
+    """A label-model save killed before its rename leaves a ``.tmp``
+    file: the rerun resumes from the last complete iteration and gives the
+    uninterrupted run's model and spans."""
     turns, _, _ = small_corpus
     ds = rd.from_arrow(turns)
-    wd = str(tmp_path_factory.mktemp("snorkel_trunc"))
-    first = to_arrow(snorkel_table(ds, wd, n_iter=1))
-    path = os.path.join(wd, "labelmodel.npz")
-    with open(path, "rb") as fd:
-        data = fd.read()
-    with open(path, "wb") as fd:
-        fd.write(data[:len(data) // 2])
-    _same_ner(to_arrow(snorkel_table(ds, wd, n_iter=1)), first)
+    wd = str(tmp_path_factory.mktemp("snorkel_tmp"))
+    to_arrow(snorkel_table(ds, wd, n_iter=1))
+    ckpt = os.path.join(wd, "checkpoints")
+    for name in (".lm_iter_002.npz.tmp", "lm_iter_002.npz.tmp"):
+        with open(os.path.join(ckpt, name), "wb") as fd:
+            fd.write(b"half a checkpoint")
+    it, _, history, done = _label_model(wd)
+    assert (it, len(history), done) == (1, 1, False)
+    rerun = to_arrow(snorkel_table(ds, wd, n_iter=2))
+    wd_fresh = str(tmp_path_factory.mktemp("snorkel_tmp_fresh"))
+    _same_ner(rerun, to_arrow(snorkel_table(ds, wd_fresh, n_iter=2)))
+    _same_params(_label_model(wd)[1], _label_model(wd_fresh)[1])
+    assert "lm_iter_002.npz" in os.listdir(ckpt)
+
+
+def test_snorkel_fresh_trainings_are_bit_identical(ray_session,
+                                                   tmp_path_factory):
+    """Two fresh trainings on a corpus whose candidate spans fill several
+    row groups give bit-identical label models: the per-shard partials are
+    merged in shard order, not in completion order."""
+    from weak_supervision_for_ner_ray.data import generate_corpus
+
+    turns, _, _ = generate_corpus(200, seed=5)
+    runs = []
+    for name in ("snorkel_bits_a", "snorkel_bits_b"):
+        wd = str(tmp_path_factory.mktemp(name))
+        runs.append((to_arrow(snorkel_table(rd.from_arrow(turns), wd)), wd))
+    spans = pq.ParquetDataset(os.path.join(runs[0][1], "snorkel_spans"))
+    assert sum(f.metadata.num_row_groups for f in spans.fragments) > 1
+    _same_params(_label_model(runs[0][1])[1], _label_model(runs[1][1])[1])
+    _same_ner(runs[0][0], runs[1][0])
+
+
+def test_label_model_killed_after_iteration_1_resumes(ray_session,
+                                                      small_corpus,
+                                                      tmp_path_factory,
+                                                      monkeypatch):
+    """A label-model training killed in its second pass and rerun to 3
+    iterations equals a fresh 3-iteration run."""
+    import pytest
+
+    from weak_supervision_for_ner_ray.stages import em_actors
+
+    turns, _, _ = small_corpus
+    ds = rd.from_arrow(turns)
+    wd = str(tmp_path_factory.mktemp("lm_killed"))
+    passes = []
+    estep = em_actors.label_model_estep
+
+    def killed_in_pass_2(shards, params):
+        passes.append(1)
+        if len(passes) == 2:
+            raise RuntimeError("killed")
+        return estep(shards, params)
+
+    with monkeypatch.context() as m:
+        m.setattr(em_actors, "label_model_estep", killed_in_pass_2)
+        with pytest.raises(RuntimeError, match="killed"):
+            snorkel_table(ds, wd, n_iter=3)
+    assert _label_model(wd)[0] == 1
+    rerun = to_arrow(snorkel_table(ds, wd, n_iter=3))
+    wd_fresh = str(tmp_path_factory.mktemp("lm_fresh"))
+    fresh = to_arrow(snorkel_table(ds, wd_fresh, n_iter=3))
+    assert _label_model(wd)[0] == 3
+    _same_params(_label_model(wd)[1], _label_model(wd_fresh)[1])
+    _same_ner(rerun, fresh)
+
+
+def test_snorkel_and_hmm_resume_from_their_own_checkpoints(
+        ray_session, small_corpus, tmp_path_factory, monkeypatch):
+    """The label model and the HMM train in one workdir, each under its own
+    checkpoint prefix; a rerun of either resumes from its own files and
+    runs no E-step."""
+    from weak_supervision_for_ner_ray.pipelines.train import (
+        train_hmm_sharded)
+    from weak_supervision_for_ner_ray.stages import em_actors
+
+    turns, _, _ = small_corpus
+    ds = rd.from_arrow(turns)
+    wd = str(tmp_path_factory.mktemp("lm_and_hmm"))
+    sn = to_arrow(snorkel_table(ds, wd, n_iter=2))
+    hmm = train_hmm_sharded(os.path.join(wd, "obs"), wd, n_iter=2, seed=7)
+    names = sorted(os.listdir(os.path.join(wd, "checkpoints")))
+    assert [n for n in names if n.startswith("lm_")] == \
+        [f"lm_iter_{i:03d}.npz" for i in range(3)]
+    assert [n for n in names if n.startswith("em_")] == \
+        [f"em_iter_{i:03d}.npz" for i in range(len(names) - 3)]
+
+    def no_estep(*_a, **_kw):
+        raise AssertionError("a resumed model ran an E-step")
+
+    monkeypatch.setattr(em_actors, "label_model_estep", no_estep)
+    monkeypatch.setattr(em_actors, "shard_estep", no_estep)
+    _same_ner(to_arrow(snorkel_table(ds, wd, n_iter=2)), sn)
+    assert train_hmm_sharded(os.path.join(wd, "obs"), wd, n_iter=2,
+                             seed=7).digest() == hmm.digest()
+
+
+def test_failed_lineage_flush_keeps_staging_and_leaves_no_table(
+        tmp_path, monkeypatch):
+    """The lineage table is renamed into place: when the rename fails, no
+    ``lineage_*`` file is left in the table directory and the staging
+    directory keeps its records for a retry."""
+    import pytest
+
+    from weak_supervision_for_ner_ray.state import lineage as lin
+
+    wd = str(tmp_path)
+    out_dir = os.path.join(wd, "lineage")
+    sink = lin.get_lineage_actor(wd)
+    for k in range(3):
+        lin.record_block(sink, "encode_obs", f"c{k}", "fp", 1, 1, 0.5)
+
+    def rename_fails(src, dst):
+        raise OSError("rename failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", rename_fails)
+        with pytest.raises(OSError, match="rename failed"):
+            lin.flush_lineage(sink, out_dir)
+    assert not [f for f in os.listdir(out_dir) if "lineage_" in f]
+    assert len(os.listdir(sink)) == 3
+    path = lin.flush_lineage(sink, out_dir)
+    assert os.listdir(out_dir) == [os.path.basename(path)]
+    assert pq.read_table(path).num_rows == 3 and not os.path.exists(sink)
 
 
 def test_baselines_reuse_one_obs_write(ray_session, small_corpus,

@@ -99,6 +99,37 @@ def test_resume_ignores_a_leftover_tmp_checkpoint(ray_session, small_corpus,
     assert "em_iter_003.npz" in os.listdir(ckpt)
 
 
+def test_rerun_with_fewer_iterations_returns_that_iteration(
+        ray_session, small_corpus, tmp_path_factory):
+    """A workdir trained to 3 iterations and rerun with ``n_iter=1``
+    returns iteration 1, the params of a fresh 1-iteration run, not the
+    latest checkpoint."""
+    turns, _, _ = small_corpus
+    wd = str(tmp_path_factory.mktemp("fewer"))
+    obs_dir = write_obs(rd.from_arrow(turns), wd)
+    train_hmm_sharded(obs_dir, wd, n_iter=3, seed=7)
+    rerun = train_hmm_sharded(obs_dir, wd, n_iter=1, seed=7)
+    fresh = train_hmm_sharded(obs_dir, str(tmp_path_factory.mktemp(
+        "fewer_fresh")), n_iter=1, seed=7)
+    assert rerun.digest() == fresh.digest()
+
+
+def test_rerun_with_another_seed_trains_afresh(ray_session, small_corpus,
+                                               tmp_path_factory):
+    """Checkpoints record the init inputs: a rerun with another ``seed``
+    clears them and gives a fresh run's params for that seed."""
+    turns, _, _ = small_corpus
+    wd = str(tmp_path_factory.mktemp("reseed"))
+    obs_dir = write_obs(rd.from_arrow(turns), wd)
+    seed7 = train_hmm_sharded(obs_dir, wd, n_iter=3, seed=7)
+    rerun = train_hmm_sharded(obs_dir, wd, n_iter=3, seed=8)
+    fresh = train_hmm_sharded(obs_dir, str(tmp_path_factory.mktemp(
+        "reseed_fresh")), n_iter=3, seed=8)
+    assert rerun.digest() == fresh.digest() != seed7.digest()
+    it, _, history, _ = CheckpointStore(wd).latest()
+    assert len(history) == it
+
+
 def test_build_kg_resume_matches_fresh_run(ray_session, small_corpus,
                                            tmp_path_factory):
     """A build stopped after 1 EM iteration and rerun to 3 in the same

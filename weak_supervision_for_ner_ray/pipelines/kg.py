@@ -20,13 +20,16 @@ import ray.data as rd
 
 from ..data import builtin_gazetteers, DETECTOR_FIRST_NAMES
 from ..stages.annotate import annotate_pipeline
-from .train import train_hmm_sharded
+from .train import train_hmm_sharded, train_label_model
 
 # turn-level detector sources with a standalone mentions query + DuckDB
 # SQL oracle (the SQL-expressible subset of the LF bank)
 TURN_DETECTOR_SOURCES = ("date_detector", "time_detector",
                          "money_detector", "number_detector",
                          "legal_detector")
+
+# rows per batch of the majority-vote and Snorkel map stages
+_BATCH_ROWS = 256
 
 
 def detector_mentions(turns_ds, source: str):
@@ -94,14 +97,13 @@ def detector_mentions(turns_ds, source: str):
 
 
 def annotate_turns(turns_ds, *, gazetteers=None, first_names=None,
-                   concurrency=None, lin_sink=None):
+                   lin_sink=None):
     """Lazy annotation pipeline: turns -> turn- and conversation-level
     mentions (nested ``mentions`` column) beside the encoded observation
     (``stages.annotate.annotate_pipeline``)."""
     gaz = gazetteers if gazetteers is not None else builtin_gazetteers()
     fn = first_names if first_names is not None else DETECTOR_FIRST_NAMES
-    return annotate_pipeline(turns_ds, ray.put((gaz, fn)),
-                             concurrency=concurrency, lin_sink=lin_sink)
+    return annotate_pipeline(turns_ds, ray.put((gaz, fn)), lin_sink=lin_sink)
 
 
 def _written(path: str, stamp: str) -> bool:
@@ -146,7 +148,7 @@ def write_once(ds, path: str, stamp: str = "", schema=None,
 
 
 def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
-              concurrency=None, lin_sink=None) -> str:
+              lin_sink=None) -> str:
     """The one annotate + encode -> write step, shared by the HMM, the
     majority-vote and the Snorkel paths: returns ``<workdir>/obs``.
 
@@ -165,8 +167,7 @@ def write_obs(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
     often enough that per-shard/per-worker dedup and memoisation already
     catch them without global clustering."""
     obs = annotate_turns(turns_ds, gazetteers=gazetteers,
-                         first_names=first_names, concurrency=concurrency,
-                         lin_sink=lin_sink)
+                         first_names=first_names, lin_sink=lin_sink)
     # the grouped stage emits one table per sort range; bundling them
     # into files of >= 256 rows gives the file layout of a batched encode
     # stage and fewer files for the EM and decode reads to open (kg_cold,
@@ -235,7 +236,7 @@ def _decoded_rows(workdir: str, kind: str, columns: list, **read_kw):
 
 
 def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
-             n_iter: int = 3, concurrency=None, write: bool = True,
+             n_iter: int = 3, write: bool = True,
              seed: int = 42, lineage: bool = True):
     """Full pipeline.  Returns dict of Datasets:
     ``annotated``, ``ner``, ``triples``, ``nodes``, ``edges``, and the
@@ -269,8 +270,7 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
         # single materialization point: turn sources, conversation sources
         # and obs encoding run in one grouped stage, one parquet write
         obs_dir = write_obs(turns_ds, workdir, gazetteers=gaz,
-                            first_names=first_names, concurrency=concurrency,
-                            lin_sink=lin_sink)
+                            first_names=first_names, lin_sink=lin_sink)
         # both obs reads are sized from the footers' row counts
         nblocks = blocks_for_rows(sum(
             pq.read_metadata(f).num_rows
@@ -317,8 +317,7 @@ def build_kg(turns_ds, workdir: str, *, gazetteers=None, first_names=None,
 
 
 def majority_vote_table(turns_ds, workdir: str, *, gazetteers=None,
-                        first_names=None, batch_size: int = 256,
-                        nb_sources_threshold: int = 10):
+                        first_names=None, nb_sources_threshold: int = 10):
     """MajorityVoter baseline over the obs table — same schema as the HMM
     ``ner`` table (labelling.py:503-531)."""
     from ..stages.kg import make_majority_vote_fn
@@ -330,25 +329,26 @@ def majority_vote_table(turns_ds, workdir: str, *, gazetteers=None,
                                    "o_t", "o_s", "o_state", "o_conf"])
     return obs.map_batches(
         make_majority_vote_fn(nb_sources_threshold),
-        batch_format="pyarrow", batch_size=batch_size,
+        batch_format="pyarrow", batch_size=_BATCH_ROWS,
         zero_copy_batch=True)
 
 
 def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
-                  first_names=None, batch_size: int = 256,
-                  n_iter: int = 5):
+                  first_names=None, n_iter: int = 5):
     """Snorkel-equivalent span-level generative label model over the
     annotated corpus (labelling.py:534-590 workflow, snorkel-free): same
     output schema as the HMM ``ner`` and majority-vote tables.
 
     Candidate spans + sparse votes are extracted once from the obs table's
-    mentions to parquet (resumable); each EM pass is one ``map_batches``
-    over that table with broadcast parameters, returning one additive
-    sufficient-statistic partial per block (same distribution shape as the
-    HMM E-step)."""
+    mentions to parquet (resumable).  The label model trains on that
+    table's row groups in the HMM's EM loop (``train.train_label_model``:
+    one stateless task per shard per pass, partials merged in shard order,
+    checkpoints ``lm_iter_k.npz`` beside the HMM's), then one
+    ``map_batches`` predicts with the broadcast parameters."""
     import numpy as np
-    import pyarrow.compute as _pc
+    import pyarrow.compute as pc
 
+    from ..constants import LABELS
     from ..stages.encode import snorkel_spans_batch
     from ..stages.util import cached_from_ref, target_blocks
     from ..state import labelmodel as lm
@@ -358,65 +358,15 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
     spans = rd.read_parquet(
         obs_dir, columns=["conv_id", "turn_idx", "mentions"]).map_batches(
             snorkel_spans_batch, batch_format="pyarrow",
-            batch_size=batch_size, zero_copy_batch=True)
-    spans_ds = rd.read_parquet(
-        write_once(spans, os.path.join(workdir, "snorkel_spans")),
-        override_num_blocks=target_blocks())
-
-    def _flat(batch: pa.Table):
-        col_s = batch.column("v_s")
-        if isinstance(col_s, pa.ChunkedArray):
-            col_s = col_s.combine_chunks()
-        col_o = batch.column("v_o")
-        if isinstance(col_o, pa.ChunkedArray):
-            col_o = col_o.combine_chunks()
-        offsets = col_s.offsets.to_numpy(zero_copy_only=False)
-        lens = np.diff(offsets)
-        v_span = np.repeat(np.arange(batch.num_rows), lens)
-        v_s = col_s.values.to_numpy(zero_copy_only=False).astype(np.int64)
-        v_o = col_o.values.to_numpy(zero_copy_only=False).astype(np.int64)
-        return v_span, v_s, v_o
-
-    params_path = os.path.join(workdir, "labelmodel.npz")
-    params = lm.LabelModelParams.load(params_path, n_iter)
-    if params is None:
-        params = lm.LabelModelParams.init()
-        for _ in range(n_iter):
-            params_ref = ray.put(params)
-
-            def estep(batch: pa.Table) -> pa.Table:
-                p = cached_from_ref(params_ref)
-                stats = lm.LMStats()
-                v_span, v_s, v_o = _flat(batch)
-                lm.accumulate_flat(p, batch.num_rows, v_span, v_s, v_o,
-                                   stats)
-                row = stats.to_row()
-                return pa.table({
-                    "prior": pa.array([row["prior"]],
-                                      pa.list_(pa.float64())),
-                    "votes": pa.array([row["votes"]],
-                                      pa.list_(pa.float64())),
-                    "loglik": pa.array([row["loglik"]], pa.float64()),
-                    "n_spans": pa.array([row["n_spans"]], pa.int64()),
-                })
-
-            total = lm.LMStats()
-            for b in spans_ds.map_batches(
-                    estep, batch_format="pyarrow",
-                    zero_copy_batch=True).iter_batches(
-                        batch_format="pyarrow"):
-                for row in b.to_pylist():
-                    total.merge_row(row)
-            params = lm.m_step(total)
-        params.save(params_path, n_iter)
-
-    params_ref = ray.put(params)
+            batch_size=_BATCH_ROWS, zero_copy_batch=True)
+    spans_dir = write_once(spans, os.path.join(workdir, "snorkel_spans"))
+    params_ref = ray.put(train_label_model(spans_dir, workdir,
+                                           n_iter=n_iter))
 
     def predict(batch: pa.Table) -> pa.Table:
-        from ..constants import LABELS
         p = cached_from_ref(params_ref)
-        v_span, v_s, v_o = _flat(batch)
-        best, prob = lm.predict_flat(p, batch.num_rows, v_span, v_s, v_o)
+        best, prob = lm.predict_flat(p, batch.num_rows,
+                                     *lm.flat_votes(batch))
         keep = best > 0
         t = batch.select(["conv_id", "turn_idx", "start", "end"]) \
             .append_column("label", pa.array(
@@ -424,11 +374,11 @@ def snorkel_table(turns_ds, workdir: str, *, gazetteers=None,
                  for b, k in zip(best, keep)], pa.string())) \
             .append_column("conf", pa.array(prob.astype(np.float32),
                                             pa.float32()))
-        return t.filter(_pc.is_valid(t.column("label")))
+        return t.filter(pc.is_valid(t.column("label")))
 
-    return spans_ds.map_batches(predict, batch_format="pyarrow",
-                                batch_size=batch_size,
-                                zero_copy_batch=True)
+    return rd.read_parquet(spans_dir, override_num_blocks=target_blocks()) \
+        .map_batches(predict, batch_format="pyarrow", batch_size=_BATCH_ROWS,
+                     zero_copy_batch=True)
 
 
 GRAPH_KEYS = ["kind", "k1", "k2", "k3"]

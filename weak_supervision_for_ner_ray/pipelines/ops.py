@@ -32,6 +32,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..stages import graph
+from ..stages.util import default_concurrency
 
 
 def read_table(sf_dir: str, name: str, columns=None):
@@ -886,11 +887,6 @@ def _to_arrow(ds) -> pa.Table:
     return pa.concat_tables(tables) if tables else pa.table({})
 
 
-def _concurrency():
-    from ..stages.util import default_concurrency
-    return default_concurrency()
-
-
 def _join_partitions() -> int:
     """Hash-join partition count: one aggregator actor per partition must
     be schedulable CONCURRENTLY, so the cluster CPU count is the ceiling
@@ -1567,7 +1563,7 @@ def ann_lsh_buckets(sf_dir: str, n_planes: int = 12):
                              fn_constructor_kwargs=dict(dim=dim,
                                                         n_planes=n_planes),
                              batch_format="pyarrow", zero_copy_batch=True,
-                             concurrency=_concurrency())
+                             concurrency=default_concurrency())
     return (buckets.groupby("bucket").aggregate(Count(alias_name="n"))
             .sort("bucket"))
 
@@ -1934,7 +1930,7 @@ def dedup_embedding_lsh(sf_dir: str, threshold_micro: int = 400_000,
                                    n_planes=n_planes, n_tables=n_tables,
                                    seed=seed),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=_concurrency())
+        concurrency=default_concurrency())
     return _verify_cosine_pairs(sf_dir, _lsh_candidate_pairs(coded_ids),
                                 threshold_micro).sort(["a", "b"])
 

@@ -179,7 +179,7 @@ def synth_crowd_json(corpus_dir: str, out_path: str | None = None,
     return out_path
 
 
-def crowd_mentions(turns_ds, crowd_json_path: str, *, concurrency=None):
+def crowd_mentions(turns_ds, crowd_json_path: str):
     """Long-form crowd mentions over a turns Dataset: broadcast the
     parsed crowd index once, probe per batch.  Same schema as
     ``mentions_table`` so downstream eval (``pipelines.eval``) can score
@@ -190,4 +190,4 @@ def crowd_mentions(turns_ds, crowd_json_path: str, *, concurrency=None):
         CrowdMatchStage,
         fn_constructor_args=(index_ref,),
         batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency or default_concurrency())
+        concurrency=default_concurrency())

@@ -167,9 +167,8 @@ def make_full_conv_annotate_fn(bank_inputs_ref, lin_sink=None):
 MAX_CONV_WINDOW = 5000
 
 
-def annotate_pipeline(turns, bank_inputs_ref, *, concurrency=None,
-                      max_conv_window: int = MAX_CONV_WINDOW,
-                      lin_sink=None):
+def annotate_pipeline(turns, bank_inputs_ref, *,
+                      max_conv_window: int = MAX_CONV_WINDOW, lin_sink=None):
     """turns Dataset -> obs Dataset: turn- and conversation-level
     ``mentions`` plus the encoded observation (``stages.encode``).
 
@@ -209,4 +208,4 @@ def annotate_pipeline(turns, bank_inputs_ref, *, concurrency=None,
         .sort(["conv_id", "_win"]) \
         .map_batches(make_full_conv_annotate_fn(bank_inputs_ref, lin_sink),
                      batch_format="pyarrow", batch_size=None,
-                     zero_copy_batch=True, concurrency=concurrency)
+                     zero_copy_batch=True)

@@ -106,13 +106,11 @@ def blocks_for_rows(rows: int) -> int:
     return max(_cluster_cpus(8), min(need, target_blocks()))
 
 
-def default_concurrency(concurrency=None):
+def default_concurrency():
     """Actor-pool sizing: autoscale between 1 and the cluster CPU count.
 
     Callable-class ``map_batches`` stages require an explicit pool size; an
     autoscaling (1, n_cpus) pool lets the streaming executor balance this
     stage against the read/write/shuffle stages instead of starving them.
     """
-    if concurrency is not None:
-        return concurrency
     return (1, max(2, _cluster_cpus(4)))

@@ -318,18 +318,6 @@ class SuffStats:
                 "logprob": np.array([self.logprob]),
                 "n_seqs": np.array([self.n_seqs])}
 
-    @classmethod
-    def from_arrays(cls, d) -> "SuffStats":
-        s = cls()
-        s.start = np.asarray(d["start"], np.float64).reshape(N_STATES)
-        s.trans = np.asarray(d["trans"], np.float64).reshape(N_STATES,
-                                                             N_STATES)
-        s.obs = np.asarray(d["obs"], np.float64).reshape(N_SOURCES, N_STATES,
-                                                         N_STATES)
-        s.logprob = float(np.asarray(d["logprob"]).ravel()[0])
-        s.n_seqs = int(np.asarray(d["n_seqs"]).ravel()[0])
-        return s
-
 
 def _forward_backward_scaled(ll: np.ndarray, params: HMMParams):
     """Scaled (linear-space) forward-backward — Rabiner scaling.

@@ -13,17 +13,14 @@ Observation encoding follows the reference's ``_get_inputs``
 (labelling.py:558-572): per candidate span, each source either abstains or
 votes ``1 + LABELS.index(top-confidence label)``; class 0 is
 "not an entity".  Every sufficient statistic is additive per span, so the
-E-step distributes as mergeable per-block partials exactly like the HMM EM
-(SURVEY.md §2.5).
+E-step distributes as mergeable per-shard partials and the model trains in
+the HMM's EM loop (``pipelines/train.py``, SURVEY.md §2.5).
 """
 
 from __future__ import annotations
 
-import os
-import zipfile
-import zlib
-
 import numpy as np
+import pyarrow as pa
 
 from ..constants import LABELS
 from ..sources.registry import SOURCE_NAMES
@@ -67,27 +64,26 @@ class LabelModelParams:
             conf[:, y, y] = fire_rate * accuracy
         return cls(prior, conf)
 
-    def save(self, path: str, n_iter: int) -> None:
-        """Write ``path`` atomically (a temp file, then ``os.replace``: a
-        kill mid-write leaves the previous file or none), stamped with the
-        EM iteration count the parameters were trained for."""
-        tmp = path + ".tmp.npz"
-        np.savez_compressed(tmp, prior=self.prior, conf=self.conf,
-                            n_iter=n_iter)
-        os.replace(tmp, path)
+    def save(self, file, **extra) -> None:
+        """Write the parameters, plus any ``extra`` arrays, as one npz to
+        ``file`` (a path or a binary file object)."""
+        np.savez(file, prior=self.prior, conf=self.conf, **extra)
 
     @classmethod
-    def load(cls, path: str, n_iter: int) -> "LabelModelParams | None":
-        """The parameters saved at ``path`` if it holds a complete file
-        trained for ``n_iter`` iterations, else None (retrain)."""
-        try:
-            with np.load(path) as z:
-                if int(z["n_iter"]) != n_iter:
-                    return None
-                return cls(z["prior"], z["conf"])
-        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
-                zlib.error):
-            return None
+    def from_npz(cls, z) -> "LabelModelParams":
+        return cls(z["prior"], z["conf"])
+
+
+def flat_votes(batch: pa.Table
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(span, source, vote) index triples of a ``snorkel_spans`` table's
+    ``v_s``/``v_o`` list columns, one triple per non-abstaining vote."""
+    v_s, v_o = (batch.column(c).combine_chunks() for c in ("v_s", "v_o"))
+    lens = np.diff(v_s.offsets.to_numpy(zero_copy_only=False))
+    # flatten(), not .values: a batch may be a slice of its block
+    return (np.repeat(np.arange(batch.num_rows), lens),
+            v_s.flatten().to_numpy(zero_copy_only=False).astype(np.int64),
+            v_o.flatten().to_numpy(zero_copy_only=False).astype(np.int64))
 
 
 def posteriors_flat(params: LabelModelParams, n_spans: int,
@@ -110,28 +106,22 @@ def posteriors_flat(params: LabelModelParams, n_spans: int,
 
 
 class LMStats:
-    """Additive EM sufficient statistics (the per-block partial)."""
+    """Additive EM sufficient statistics (the per-shard partial)."""
 
     def __init__(self):
         self.prior = np.zeros(N_CLASSES)
         # votes[s, o, y] for o >= 1; abstain counts are derived:
         # abstain[s, y] = prior_total[y] - sum_o votes[s, o, y]
         self.votes = np.zeros((N_SOURCES, N_CLASSES, N_CLASSES))
-        self.loglik = 0.0
+        self.logprob = 0.0
         self.n_spans = 0
 
-    def to_row(self) -> dict:
-        return {"prior": self.prior.tolist(),
-                "votes": self.votes.reshape(-1).tolist(),
-                "loglik": float(self.loglik),
-                "n_spans": int(self.n_spans)}
-
-    def merge_row(self, row) -> None:
-        self.prior += np.asarray(row["prior"], np.float64)
-        self.votes += np.asarray(row["votes"], np.float64).reshape(
-            N_SOURCES, N_CLASSES, N_CLASSES)
-        self.loglik += float(row["loglik"])
-        self.n_spans += int(row["n_spans"])
+    def merge(self, other: "LMStats") -> "LMStats":
+        self.prior += other.prior
+        self.votes += other.votes
+        self.logprob += other.logprob
+        self.n_spans += other.n_spans
+        return self
 
 
 def accumulate_flat(params: LabelModelParams, n_spans: int,
@@ -141,7 +131,7 @@ def accumulate_flat(params: LabelModelParams, n_spans: int,
         return
     g, loglik = posteriors_flat(params, n_spans, v_span, v_s, v_o)
     stats.prior += g.sum(axis=0)
-    stats.loglik += loglik
+    stats.logprob += loglik
     stats.n_spans += n_spans
     if len(v_span):
         np.add.at(stats.votes.reshape(N_SOURCES * N_CLASSES, N_CLASSES),

@@ -23,6 +23,8 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .checkpoints import write_atomic
+
 SCHEMA = pa.schema([
     ("stage", pa.string()),
     ("partition_key", pa.string()),
@@ -52,15 +54,16 @@ def record_block(sink: str, stage: str, partition_key: str,
     table = pa.table([[stage], [partition_key], [fingerprint],
                       [int(rows_in)], [int(rows_out)], [float(wall_ms)],
                       [int(attempt)]], schema=SCHEMA)
-    path = os.path.join(sink, uuid.uuid4().hex)
-    pq.write_table(table, path + ".tmp")
-    os.replace(path + ".tmp", path + ".parquet")
+    write_atomic(os.path.join(sink, uuid.uuid4().hex + ".parquet"),
+                 lambda tmp: pq.write_table(table, tmp))
 
 
 def flush_lineage(sink: str, out_dir: str) -> str | None:
     """Concatenate the records in the staging directory ``sink`` into one
     Parquet table under ``out_dir`` and remove ``sink``.  Returns the
-    table's path, or None when no block wrote a record."""
+    table's path, or None when no block wrote a record.  The table is
+    renamed into place, so a kill leaves no truncated table to fail later
+    reads of ``out_dir``; a failed write keeps ``sink``."""
     files = sorted(glob.glob(os.path.join(sink, "*.parquet")))
     path = None
     if files:
@@ -69,7 +72,7 @@ def flush_lineage(sink: str, out_dir: str) -> str | None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir,
                             "lineage_%d.parquet" % int(time.time() * 1e3))
-        pq.write_table(table, path)
+        write_atomic(path, lambda tmp: pq.write_table(table, tmp))
     shutil.rmtree(sink, ignore_errors=True)
     return path
 
